@@ -153,27 +153,26 @@ def _top_eigpair(mat: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[-1]), vec * phase.conjugate()
 
 
+def _top_eigpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_top_eigpair`` over a stack ``(R, n, n)``: one batched ``eigh``, and
+    each top eigenvector rotated so its largest-magnitude entry is real and
+    positive."""
+    w, v = np.linalg.eigh(mats)
+    vecs = v[:, :, -1]
+    k = np.argmax(np.abs(vecs), axis=1)
+    pivot = vecs[np.arange(len(vecs)), k]
+    return w[:, -1], vecs * (pivot / np.abs(pivot)).conj()[:, None]
+
+
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def _seesaw_once(m4, a, b, max_iters):
-    value = -np.inf
-    iters = 0
-    converged = False
-    for _ in range(max_iters):
-        iters += 1
-        ma = np.einsum("i,aibj,j->ab", b.conj(), m4, b, optimize=True)
-        _, a = _top_eigpair(ma)
-        mb = np.einsum("a,aibj,b->ij", a.conj(), m4, a, optimize=True)
-        new_value, b = _top_eigpair(mb)
-        if new_value - value < SEESAW_STOP:
-            value = max(value, new_value)
-            converged = True
-            break
-        value = new_value
-    return value, a, b, iters, converged
+def _outer_rows(x: np.ndarray) -> np.ndarray:
+    """Row ``r`` is ``conj(x[r]) (x) x[r]`` flattened: the ``(R, n*n)`` stack
+    that contracts a vectorized ``n x n`` block."""
+    return (x.conj()[:, :, None] * x[:, None, :]).reshape(len(x), -1)
 
 
 def _seesaw_product_max(
@@ -188,30 +187,53 @@ def _seesaw_product_max(
     """Best product-state overlap ``<ab|M|ab>`` found by alternating eigensteps.
 
     Works for any Hermitian ``M``; the value sequence is non-decreasing per
-    iteration.  Ties between restarts resolve to the lowest restart index.
+    iteration.  All starts (``initial_points`` first, then ``restarts``
+    seeded ones) run in lock-step: each half-step is one matrix product for
+    the local contractions of every active start and one stacked ``eigh``.
+    A start stops on its own once its value gains less than ``SEESAW_STOP``;
+    ``iterations`` sums the per-start counts.  Ties between starts resolve to
+    the lowest index.
     """
-    m4 = matrix.reshape(da, db, da, db)
     starts = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in initial_points]
     for r in range(restarts):
         rng = stream(seed, "seesaw-restart", r)
         starts.append((_random_unit(rng, da), _random_unit(rng, db)))
-    best = None
-    total_iters = 0
-    for a0, b0 in starts:
-        value, a, b, iters, conv = _seesaw_once(m4, a0 / np.linalg.norm(a0), b0 / np.linalg.norm(b0), max_iters)
-        total_iters += iters
-        if best is None or value > best[0] + 1e-15:
-            best = (value, a, b, conv)
-    value, a, b, conv = best
+    A = np.stack([a / np.linalg.norm(a) for a, _ in starts])
+    B = np.stack([b / np.linalg.norm(b) for _, b in starts])
+    m4 = matrix.reshape(da, db, da, db)
+    # KA[(a, c), (i, j)] = KB[(i, j), (a, c)] = M[(a, i), (c, j)], so that
+    # <b|M|b> = KA @ vec(conj(b) (x) b) and <a|M|a> = KB @ vec(conj(a) (x) a)
+    ka_t = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db).T
+    kb_t = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da).T
+    n = len(starts)
+    values = np.full(n, -np.inf)
+    iters = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    for _ in range(max_iters):
+        iters[active] += 1
+        _, A[active] = _top_eigpairs((_outer_rows(B[active]) @ ka_t).reshape(-1, da, da))
+        new, B[active] = _top_eigpairs((_outer_rows(A[active]) @ kb_t).reshape(-1, db, db))
+        done = new - values[active] < SEESAW_STOP
+        values[active] = np.where(done, np.maximum(values[active], new), new)
+        converged[active[done]] = True
+        active = active[~done]
+        if not active.size:
+            break
+    best = 0
+    for r in range(1, n):
+        if values[r] > values[best] + 1e-15:
+            best = r
+    a, b = A[best], B[best]
     value = float(np.real(np.vdot(np.kron(a, b), matrix @ np.kron(a, b))))
     return SeesawResult(
         value=value,
         a_vec=a,
         b_vec=b,
-        iterations=total_iters,
-        restarts=len(starts),
+        iterations=int(iters.sum()),
+        restarts=n,
         seed=seed,
-        converged=conv,
+        converged=bool(converged[best]),
     )
 
 
@@ -235,9 +257,10 @@ def hsep_seesaw(
     """Seesaw lower bound on the separability support function of ``m``.
 
     Alternates exact local updates: with ``b`` fixed the optimal ``a`` is the
-    top eigenvector of the contraction ``<b|M|b>``, and symmetrically.  The
-    reported value is re-evaluated from the returned vectors.  Requires
-    ``0 <= M <= 1``.
+    top eigenvector of the contraction ``<b|M|b>``, and symmetrically.  All
+    restarts run in lock-step and ties between them go to the lowest index
+    (``initial_points`` come first).  The reported value is re-evaluated
+    from the returned vectors.  Requires ``0 <= M <= 1``.
     """
     matrix, da, db = _regroup(m, cut)
     _require_contraction(matrix)
@@ -256,6 +279,11 @@ def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
         raise ValueError("q must be >= 1")
     matrix, da, db = _regroup(m, cut)
     _require_contraction(matrix)
+    return _hqext_regrouped(matrix, da, db, q)
+
+
+def _hqext_regrouped(matrix: np.ndarray, da: int, db: int, q: int) -> QExtResult:
+    """``hqext`` on a matrix already regrouped to (A, B) and checked."""
     check_side(da * db**q, "q-extension space")
     ext = np.kron(matrix, np.eye(db ** (q - 1)))
     op = HermitianOperator(ext, Dims((da,) + (db,) * q))
@@ -279,13 +307,21 @@ def hsep_certified_interval(
     is the certified test slack; ``delta_extension_distance`` applies the extendibility
     distance bound ``2 d^2 / q`` to the lower end as looser metadata.
     """
-    lower = hsep_seesaw(m, cut, restarts=restarts, max_iters=max_iters, seed=seed).value
-    per_q = {}
-    for q in range(1, q_max + 1):
-        per_q[q] = hqext(m, cut, q).value
+    seesaw = hsep_seesaw(m, cut, restarts=restarts, max_iters=max_iters, seed=seed)
+    return _interval_from_seesaw(m, cut, q_max, seesaw)
+
+
+def _interval_from_seesaw(
+    m: HermitianOperator, cut: BipartiteCut, q_max: int, seesaw: SeesawResult
+) -> CertifiedInterval:
+    """``hsep_certified_interval`` around a seesaw result already computed for
+    ``(m, cut)``; that call has checked ``0 <= M <= 1``, so it is not
+    repeated here."""
+    matrix, da, db = _regroup(m, cut)
+    per_q = {q: _hqext_regrouped(matrix, da, db, q).value for q in range(1, q_max + 1)}
     q_used = min(per_q, key=lambda q: (per_q[q], q))
     upper = per_q[q_used]
-    _, da, db = _regroup(m, cut)
+    lower = seesaw.value
     d = max(da, db)
     return CertifiedInterval(
         lower=lower,
@@ -464,6 +500,8 @@ def hs_distance_to_sep(
     product state maximizing the correlation with the residual (seesaw
     oracle) and fully re-optimizes the mixture weights on the accumulated
     atoms, so the distance estimate is monotone non-increasing.
+    ``converged`` says whether the oracle's gain fell to ``stop_gap`` before
+    ``iters`` rounds ran out.
     """
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
@@ -473,6 +511,7 @@ def hs_distance_to_sep(
     target = matrix.reshape(-1)
     vecs = [m.reshape(-1) for m in mats]
     it = 0
+    converged = False
     for it in range(1, iters + 1):
         current = sum(w * v for w, v in zip(weights, vecs))
         resid = (target - current).reshape(dim, dim)
@@ -483,6 +522,7 @@ def hs_distance_to_sep(
             - np.real(np.vdot(resid.reshape(-1), current))
         )
         if gap <= stop_gap:
+            converged = True
             break
         atoms.append((step.a_vec, step.b_vec))
         vecs.append(atom.reshape(-1))
@@ -499,7 +539,7 @@ def hs_distance_to_sep(
         atoms=tuple(atoms[i] for i in keep),
         weights=weights[keep] / weights[keep].sum(),
         iterations=it,
-        converged=True,
+        converged=converged,
         extras={"da": da, "db": db},
     )
 

@@ -228,7 +228,7 @@ def hsep_records(
         )
     ]
     if q_max:
-        interval = separability.hsep_certified_interval(op, cut, q_max=q_max, restarts=restarts, seed=seed)
+        interval = separability._interval_from_seesaw(op, cut, q_max, res)
         records.append(
             record(
                 "hsep",

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from definetti import suites
 from definetti.measures import Povm, fidelity
 from definetti.operators import (
     b_side_twirl,
@@ -14,11 +17,17 @@ from definetti.operators import (
     partial_trace,
     pure_state_density,
     random_contraction,
+    random_hermitian,
     stream,
     tensor_power,
 )
 from definetti.separability import (
+    SEESAW_STOP,
     BipartiteCut,
+    _random_unit,
+    _seesaw_product_max,
+    _top_eigpair,
+    _top_eigpairs,
     certificate_to_json,
     hqext,
     hs_distance_to_sep,
@@ -119,6 +128,122 @@ def test_seesaw_value_matches_vectors():
         assert res.value <= np.linalg.eigvalsh(m.matrix)[-1] + 1e-10
 
 
+def serial_seesaw(matrix, da, db, restarts, max_iters, seed, initial_points=()):
+    """Reference oracle: one start at a time, contractions by einsum.
+
+    Returns ``(value, a, b, iterations, converged)`` under the same start
+    order, stop test and tie rule as ``_seesaw_product_max``.
+    """
+    m4 = matrix.reshape(da, db, da, db)
+    starts = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in initial_points]
+    for r in range(restarts):
+        rng = stream(seed, "seesaw-restart", r)
+        starts.append((_random_unit(rng, da), _random_unit(rng, db)))
+    best = None
+    total = 0
+    for a, b in starts:
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        value, converged = -np.inf, False
+        for _ in range(max_iters):
+            total += 1
+            _, a = _top_eigpair(np.einsum("i,aibj,j->ab", b.conj(), m4, b))
+            new, b = _top_eigpair(np.einsum("a,aibj,b->ij", a.conj(), m4, a))
+            if new - value < SEESAW_STOP:
+                value, converged = max(value, new), True
+                break
+            value = new
+        if best is None or value > best[0] + 1e-15:
+            best = (value, a, b, converged)
+    value, a, b, converged = best
+    v = np.kron(a, b)
+    return float(np.real(np.vdot(v, matrix @ v))), a, b, total, converged
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (3, 3), (2, 4), (4, 4)])
+def test_batched_seesaw_matches_serial_reference(da, db):
+    rng = stream(11, "batched", da, db)
+    for i in range(6):
+        m = random_contraction(da * db, rng)
+        res = _seesaw_product_max(m, da, db, restarts=8, max_iters=200, seed=i)
+        value, a, b, iterations, converged = serial_seesaw(m, da, db, 8, 200, i)
+        assert abs(res.value - value) <= 1e-12
+        assert res.iterations == iterations
+        assert res.converged == converged
+        assert np.allclose(res.a_vec, a, atol=1e-8) and np.allclose(res.b_vec, b, atol=1e-8)
+        assert res.restarts == 8 and res.seed == i
+
+
+def test_seesaw_ties_go_to_lowest_restart():
+    # on the identity every restart reaches 1 and ties
+    res = _seesaw_product_max(np.eye(4), 2, 2, restarts=5, max_iters=50, seed=3)
+    first = _seesaw_product_max(np.eye(4), 2, 2, restarts=1, max_iters=50, seed=3)
+    assert abs(res.value - 1.0) < 1e-12
+    assert np.array_equal(res.a_vec, first.a_vec) and np.array_equal(res.b_vec, first.b_vec)
+    # |00><00| + |11><11| has two product maxima; starts that reach different
+    # ones tie at 1, and the lowest-index start wins
+    m = np.diag([1.0, 0.0, 0.0, 1.0])
+    e0, e1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    for winner, loser in ((e0, e1), (e1, e0)):
+        starts = [(winner, winner), (loser, loser)]
+        res = _seesaw_product_max(m, 2, 2, restarts=0, max_iters=50, seed=0, initial_points=starts)
+        assert abs(res.value - 1.0) < 1e-12
+        assert np.allclose(np.abs(res.a_vec), winner) and np.allclose(np.abs(res.b_vec), winner)
+
+
+def test_seesaw_initial_points_counted_and_tried_first():
+    m = np.diag([1.0, 0.0, 0.0, 1.0])
+    seeded = _seesaw_product_max(m, 2, 2, restarts=3, max_iters=50, seed=4)
+    # the initial point is the product maximum the first seeded start misses
+    corner = np.array([0.0, 1.0]) if abs(seeded.a_vec[0]) > 0.5 else np.array([1.0, 0.0])
+    res = _seesaw_product_max(m, 2, 2, restarts=3, max_iters=50, seed=4, initial_points=[(corner, corner)])
+    assert res.restarts == 4
+    assert np.allclose(np.abs(res.a_vec), corner) and np.allclose(np.abs(res.b_vec), corner)
+    _, a, _, iterations, _ = serial_seesaw(m, 2, 2, 3, 50, 4, initial_points=[(corner, corner)])
+    assert res.iterations == iterations and np.allclose(res.a_vec, a)
+
+
+def test_seesaw_single_iteration_is_not_converged():
+    rng = stream(12, "one-step")
+    m = random_contraction(9, rng)
+    res = _seesaw_product_max(m, 3, 3, restarts=5, max_iters=1, seed=0)
+    assert res.iterations == 5
+    assert not res.converged
+
+
+@given(
+    count=st.integers(1, 4),
+    side=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_top_eigpairs_matches_per_matrix(count, side, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([random_hermitian(side, rng) for _ in range(count)])
+    values, vecs = _top_eigpairs(stack)
+    for mat, value, vec in zip(stack, values, vecs):
+        ref_value, ref_vec = _top_eigpair(mat)
+        assert value == ref_value
+        # same eigenvectors; the phase division is vectorized, so allow a
+        # few ulps of complex-division rounding
+        assert np.allclose(vec, ref_vec, rtol=0.0, atol=1e-14)
+
+
+@given(
+    da=st.integers(1, 3),
+    db=st.integers(1, 3),
+    restarts=st.integers(1, 4),
+    max_iters=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seesaw_value_within_spectrum_and_recomputable(da, db, restarts, max_iters, seed):
+    m = random_hermitian(da * db, np.random.default_rng(seed))
+    res = _seesaw_product_max(m, da, db, restarts, max_iters, seed=seed % 1000)
+    w = np.linalg.eigvalsh(m)
+    assert w[0] - 1e-10 <= res.value <= w[-1] + 1e-10
+    v = np.kron(res.a_vec, res.b_vec)
+    assert abs(float(np.real(np.vdot(v, m @ v))) - res.value) <= 1e-12
+    assert abs(np.linalg.norm(res.a_vec) - 1.0) < 1e-12 and abs(np.linalg.norm(res.b_vec) - 1.0) < 1e-12
+
+
 def test_hqext_singlet_values():
     # q = 1 admits every state; beyond, known extendibility values of the
     # maximally entangled state: (1/2)(1 + 1/q)
@@ -164,6 +289,15 @@ def test_certified_interval():
     assert abs(res.delta_certified - 0.375) < 1e-9
 
 
+def test_hsep_records_interval_reuses_seesaw():
+    m = hermitian(random_contraction(4, stream(13, "records")), (2, 2))
+    records, res = suites.hsep_records(m, CUT, restarts=8, seed=2, q_max=3)
+    interval = hsep_certified_interval(m, CUT, q_max=3, restarts=8, seed=2)
+    assert records[1]["value"] == interval.lower == res.value
+    assert records[1]["bound"] == interval.upper
+    assert records[1]["params"]["per_q"] == {str(k): v for k, v in interval.per_q_upper.items()}
+
+
 def test_max_fidelity_separable_input():
     prod = pure_state_density(np.kron([1, 0], [0, 1]), (2, 2))
     res = max_fidelity_to_sep(prod, CUT, iters=50, seed=1)
@@ -193,6 +327,14 @@ def test_hs_distance_separable_input():
     mix = density(np.eye(4) / 4, (2, 2))
     res = hs_distance_to_sep(mix, CUT, iters=30, seed=4)
     assert res.value <= 1e-6
+    # I/4 is the starting mixture, so the first oracle call finds no gain
+    assert res.converged and res.iterations == 1
+
+
+def test_hs_distance_reports_iteration_cap():
+    res = hs_distance_to_sep(SINGLET_DM, CUT, iters=1, seed=5)
+    assert res.iterations == 1
+    assert not res.converged
 
 
 def test_hs_distance_singlet_werner_oracle():
