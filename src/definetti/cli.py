@@ -41,7 +41,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-dim", type=int, default=4096, help="side-length cap for allocations")
     parser.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers over independent instances")
 
 
 def _parse_cut(spec: str | None, nfactors: int) -> BipartiteCut:
@@ -88,7 +87,10 @@ def _emit(records, args) -> None:
 
 def _finish(records, args) -> int:
     _emit(records, args)
-    return EXIT_OK if suites.all_passed(records) else EXIT_FAILED_CHECKS
+    if suites.all_passed(records):
+        return EXIT_OK
+    sys.stderr.write("definetti: at least one check failed (records with pass=false)\n")
+    return EXIT_FAILED_CHECKS
 
 
 def main(argv=None) -> int:
@@ -174,7 +176,8 @@ def main(argv=None) -> int:
 
     try:
         return _dispatch(args, seed)
-    except ResourceCapError:
+    except ResourceCapError as exc:
+        sys.stderr.write(f"definetti: {exc}\n")
         return EXIT_RESOURCE
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"definetti: {exc}\n")
@@ -183,29 +186,18 @@ def main(argv=None) -> int:
 
 def _dispatch(args, seed: int) -> int:
     if args.command == "verify-pinching":
-        recs = suites.pinching_suite(
-            seeds=args.seeds, seed=seed, d_max=args.d_max, r_max=args.r_max, jobs=args.jobs
-        )
+        recs = suites.pinching_suite(seeds=args.seeds, seed=seed, d_max=args.d_max, r_max=args.r_max)
         return _finish(recs, args)
     if args.command == "verify-definetti":
-        recs = suites.definetti_suite(
-            n=args.n, d=args.d, seeds=args.seeds, seed=seed, mixed=args.mixed, jobs=args.jobs
-        )
+        recs = suites.definetti_suite(n=args.n, d=args.d, seeds=args.seeds, seed=seed, mixed=args.mixed)
         return _finish(recs, args)
     if args.command == "verify-classical":
         return _finish(suites.classical_suite(d=args.d, n=args.n, seed=seed), args)
     if args.command == "verify-truncated":
-        if args.config:
-            configs = []
-            for spec in args.config:
-                parts = tuple(int(x) for x in spec.split(","))
-                if len(parts) != 4:
-                    return EXIT_USAGE
-                d, big_d, n, k = parts
-                configs.append((d, big_d, n, k))
-        else:
-            configs = ((2, 3, 1, 1), (2, 3, 2, 1))
-        recs = suites.truncated_suite(configs=configs, seeds=args.seeds, seed=seed, jobs=args.jobs)
+        configs = [tuple(int(x) for x in spec.split(",")) for spec in args.config or ()]
+        if any(len(c) != 4 for c in configs):
+            raise ValueError(f"--config takes four integers d,D,n,k, got {args.config}")
+        recs = suites.truncated_suite(configs=configs or ((2, 3, 1, 1), (2, 3, 2, 1)), seeds=args.seeds, seed=seed)
         return _finish(recs, args)
     if args.command == "hsep":
         op = load_operator(args.op)
@@ -268,7 +260,8 @@ def _dispatch(args, seed: int) -> int:
             with open(args.path, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
             claimed, recomputed, ok = recheck_certificate(obj)
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError):
+        except (KeyError, ValueError, TypeError) as exc:
+            sys.stderr.write(f"definetti: malformed certificate {args.path}: {exc!r}\n")
             return EXIT_USAGE
         recs = [
             suites.record(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,11 +68,6 @@ HERMITICITY_RTOL = 1e-9
 PSD_MIN_EIG_TOL = 1e-10
 TRACE_TOL = 1e-10
 KRAUS_COMPLETENESS_TOL = 1e-10
-
-# Twirls sum over the full symmetric group only up to this many copies;
-# beyond, an adjacent-transposition averaging fixed point iteration is used.
-EXPLICIT_GROUP_MAX = 6
-TWIRL_FIXED_POINT_TOL = 1e-12
 
 DEFAULT_MAX_SIDE = 4096
 _max_side = DEFAULT_MAX_SIDE
@@ -432,14 +426,36 @@ def _orbit_classes(n: int, d: int) -> dict:
     return classes
 
 
+def _average_permutations(arr: np.ndarray, q: int, offsets) -> np.ndarray:
+    """Exact average of complex ``arr`` over all permutations of ``q``
+    consecutive axes, each applied at once to every run of ``q`` axes that
+    starts at an index in ``offsets``.
+
+    ``S_m`` is the disjoint union of the cosets ``(k m-1) S_{m-1}``,
+    ``k = 0..m-1``, so the sum over ``S_m`` is the sum of ``m`` transposed
+    copies of the sum over ``S_{m-1}``: ``q(q-1)/2`` transposes in all, then
+    one division by ``q!``.
+    """
+    for m in range(2, q + 1):
+        acc = arr.copy()
+        for k in range(m - 1):
+            swapped = arr
+            for o in offsets:
+                swapped = swapped.swapaxes(o + k, o + m - 1)
+            acc += swapped
+        arr = acc
+    if q > 1:  # divide the float64 view: numpy's complex division is not correctly rounded
+        arr.view(np.float64)[...] /= math.factorial(q)
+    return arr
+
+
 def sym_projector(n: int, d: int, method: str = "occupation") -> HermitianOperator:
     """Orthogonal projector onto the n-copy symmetric subspace of ``C^d``.
 
     Two independent constructions are provided: ``occupation`` sums the
     normalized projectors of symmetrized occupation-number basis vectors;
-    ``average`` averages all factor-permutation unitaries (explicitly up to
-    six copies, by adjacent-transposition fixed point iteration beyond).
-    The projector has rank ``binom(n + d - 1, n)``.
+    ``average`` averages all factor-permutation unitaries exactly, applied
+    to the identity.  The projector has rank ``binom(n + d - 1, n)``.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
@@ -449,30 +465,8 @@ def sym_projector(n: int, d: int, method: str = "occupation") -> HermitianOperat
         return _occupation_projector(n, d)
     if method != "average":
         raise ValueError(f"unknown method {method!r}")
-    if n <= EXPLICIT_GROUP_MAX:
-        digits = _digit_table(n, d)
-        strides = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        p = np.zeros((side, side), dtype=complex)
-        cols = np.arange(side)
-        w = 1.0 / math.factorial(n)
-        for perm in itertools.permutations(range(n)):
-            rows = digits[:, list(perm)] @ strides
-            p[rows, cols] += w
-        return HermitianOperator(p, Dims((d,) * n))
-    # Left-averaging over adjacent transpositions is an orthogonal projection
-    # in Hilbert-Schmidt space; iterating the sweep converges to the average
-    # over the full group, applied here to the identity.
-    arr = np.eye(side, dtype=complex).reshape((d,) * n + (side,))
-    while True:
-        delta = 0.0
-        for i in range(n - 1):
-            swapped = np.swapaxes(arr, i, i + 1)
-            new = 0.5 * (arr + swapped)
-            delta = max(delta, float(np.linalg.norm(new - arr)))
-            arr = new
-        if delta <= TWIRL_FIXED_POINT_TOL:
-            break
-    return HermitianOperator(arr.reshape(side, side), Dims((d,) * n))
+    p = _average_permutations(np.eye(side, dtype=complex).reshape((d,) * n + (side,)), n, (0,))
+    return HermitianOperator(p.reshape(side, side), Dims((d,) * n))
 
 
 @functools.lru_cache(maxsize=4)
@@ -499,40 +493,6 @@ def haar_moment_operator(m: int, d: int) -> HermitianOperator:
     return HermitianOperator(p.matrix / sym_rank(m, d), p.dims)
 
 
-def _grouped_tensor(matrix: np.ndarray, group_dim: int, n: int) -> np.ndarray:
-    return matrix.reshape((group_dim,) * (2 * n))
-
-
-def _conjugate_by_group_permutation(arr: np.ndarray, perm, n: int) -> np.ndarray:
-    """Conjugate a (2n)-axis grouped tensor by the unitary of ``perm``."""
-    inv = [0] * n
-    for k, v in enumerate(perm):
-        inv[v] = k
-    axes = inv + [n + i for i in inv]
-    return arr.transpose(axes)
-
-
-def _twirl_axes(matrix: np.ndarray, group_dim: int, n: int) -> np.ndarray:
-    """Average of conjugations by all permutations of n equal groups."""
-    arr = _grouped_tensor(matrix, group_dim, n)
-    if n <= EXPLICIT_GROUP_MAX:
-        acc = np.zeros_like(arr)
-        for perm in itertools.permutations(range(n)):
-            acc += _conjugate_by_group_permutation(arr, perm, n)
-        acc /= math.factorial(n)
-        return acc.reshape(matrix.shape)
-    while True:
-        delta = 0.0
-        for i in range(n - 1):
-            swapped = np.swapaxes(np.swapaxes(arr, i, i + 1), n + i, n + i + 1)
-            new = 0.5 * (arr + swapped)
-            delta = max(delta, float(np.linalg.norm(new - arr)))
-            arr = new
-        if delta <= TWIRL_FIXED_POINT_TOL:
-            break
-    return arr.reshape(matrix.shape)
-
-
 def permutation_twirl(x: HermitianOperator, n: int) -> HermitianOperator:
     """Average ``U_pi x U_pi^dag`` over all permutations of ``n`` equal groups.
 
@@ -548,8 +508,8 @@ def permutation_twirl(x: HermitianOperator, n: int) -> HermitianOperator:
     if any(grp != groups[0] for grp in groups):
         raise ValueError(f"groups have different dimension patterns: {groups}")
     group_dim = math.prod(groups[0])
-    out = _twirl_axes(x.matrix, group_dim, n)
-    return HermitianOperator(out, x.dims)
+    out = _average_permutations(x.matrix.reshape((group_dim,) * (2 * n)), n, (0, n))
+    return HermitianOperator(out.reshape(x.side, x.side), x.dims)
 
 
 def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
@@ -562,30 +522,8 @@ def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
         raise ValueError(f"trailing factors are not all equal: {b_dims}")
     if q == 1:
         return m
-    a_dim = math.prod(m.dims.factors[:-q]) if nf > q else 1
-    d_b = b_dims[0]
-    shape = (a_dim,) + (d_b,) * q
-    arr = m.matrix.reshape(shape + shape)
-    if q <= EXPLICIT_GROUP_MAX:
-        acc = np.zeros_like(arr)
-        for perm in itertools.permutations(range(q)):
-            inv = [0] * q
-            for k, v in enumerate(perm):
-                inv[v] = k
-            axes = [0] + [1 + i for i in inv] + [1 + q] + [2 + q + i for i in inv]
-            acc += arr.transpose(axes)
-        acc /= math.factorial(q)
-        arr = acc
-    else:
-        while True:
-            delta = 0.0
-            for i in range(q - 1):
-                swapped = np.swapaxes(np.swapaxes(arr, 1 + i, 2 + i), 2 + q + i, 3 + q + i)
-                new = 0.5 * (arr + swapped)
-                delta = max(delta, float(np.linalg.norm(new - arr)))
-                arr = new
-            if delta <= TWIRL_FIXED_POINT_TOL:
-                break
+    shape = (math.prod(m.dims.factors[:-q]),) + b_dims
+    arr = _average_permutations(m.matrix.reshape(shape + shape), q, (1, q + 2))
     return HermitianOperator(arr.reshape(m.side, m.side), m.dims)
 
 

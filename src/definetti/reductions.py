@@ -20,6 +20,7 @@ from .operators import (
     Dims,
     HermitianOperator,
     KrausChannel,
+    _digit_table,
     channel_on_factors,
     check_side,
     haar_state_vector,
@@ -349,12 +350,8 @@ def _classical_vector(weights: np.ndarray, d: int, n: int) -> np.ndarray:
     """Symmetric purification vector of a diagonal symmetric distribution."""
     d2 = d * d
     vec = np.zeros(d2**n, dtype=complex)
-    idx = np.arange(d**n)
-    digits = np.empty((d**n, n), dtype=np.int64)
-    for pos in range(n):
-        digits[:, pos] = (idx // d ** (n - 1 - pos)) % d
-    strides = (d2 ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    target = (digits * (d + 1)) @ strides
+    strides = d2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    target = (_digit_table(n, d) * (d + 1)) @ strides
     vec[target] = np.sqrt(weights)
     return vec
 

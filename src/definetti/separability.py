@@ -285,11 +285,14 @@ def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
 def _hqext_regrouped(matrix: np.ndarray, da: int, db: int, q: int) -> QExtResult:
     """``hqext`` on a matrix already regrouped to (A, B) and checked."""
     check_side(da * db**q, "q-extension space")
-    ext = np.kron(matrix, np.eye(db ** (q - 1)))
-    op = HermitianOperator(ext, Dims((da,) + (db,) * q))
-    twirled = b_side_twirl(op, q)
-    value, vec = _top_eigpair(twirled.matrix)
+    value, vec = _top_eigpair(_b_twirled_extension(matrix, da, db, q))
     return QExtResult(value=float(value), q=q, witness_vec=vec)
+
+
+def _b_twirled_extension(matrix: np.ndarray, da: int, db: int, q: int) -> np.ndarray:
+    """B-side twirl of ``M (x) 1^{q-1}`` on ``A (x) B^q``, as a matrix."""
+    ext = np.kron(matrix, np.eye(db ** (q - 1)))
+    return b_side_twirl(HermitianOperator(ext, Dims((da,) + (db,) * q)), q).matrix
 
 
 def hsep_certified_interval(
@@ -574,12 +577,10 @@ def _product_lmo_upper(matrix: np.ndarray, da: int, db: int, q: int = 4) -> floa
     Product states are q-extendible for every q, so the top eigenvalue of
     the B-side twirl of ``M (x) 1^{q-1}`` dominates the product maximum.
     """
-    q = max(1, min(q, 1 + max_side() // (da * db)))
+    q = max(1, q)
     while da * db**q > max_side() and q > 1:
         q -= 1
-    ext = np.kron(matrix, np.eye(db ** (q - 1)))
-    op = HermitianOperator(ext, Dims((da,) + (db,) * q))
-    return float(np.linalg.eigvalsh(b_side_twirl(op, q).matrix)[-1])
+    return float(np.linalg.eigvalsh(_b_twirled_extension(matrix, da, db, q))[-1])
 
 
 def measured_fidelity_to_sep_upper(

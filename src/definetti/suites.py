@@ -7,8 +7,8 @@ serialize deterministically and the command line front end stays thin.
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -67,15 +67,8 @@ def all_passed(records) -> bool:
     return all(r["pass"] is not False for r in records)
 
 
-def _map_seeds(fn, seeds: int, jobs: int = 1):
-    if jobs <= 1:
-        return [fn(s) for s in range(seeds)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(seeds)))
-
-
 def pinching_suite(
-    seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4, tol: float = 1e-9, jobs: int = 1
+    seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4, tol: float = 1e-9
 ):
     """Random-instance check of the cross-term pinching inequality."""
 
@@ -98,7 +91,7 @@ def pinching_suite(
             passed=res.passed,
         )
 
-    return _map_seeds(one, seeds, jobs)
+    return [one(s) for s in range(seeds)]
 
 
 def definetti_suite(
@@ -108,7 +101,6 @@ def definetti_suite(
     seed: int = 0,
     mixed: bool = False,
     tol: float = 1e-9,
-    jobs: int = 1,
 ):
     """Seeded PSD checks of the pure or mixed constrained reduction."""
 
@@ -137,7 +129,7 @@ def definetti_suite(
             passed=res.passed,
         )
 
-    return _map_seeds(one, seeds, jobs)
+    return [one(s) for s in range(seeds)]
 
 
 def classical_suite(d: int = 2, n: int = 3, seed: int = 0, tol: float = 1e-12):
@@ -148,9 +140,7 @@ def classical_suite(d: int = 2, n: int = 3, seed: int = 0, tol: float = 1e-12):
     point[0] = 1.0
     mixed_string = np.zeros(size)
     base = [0] * (n - 1) + [1 % d if d > 1 else 0]
-    import itertools as _it
-
-    perms = set(_it.permutations(base))
+    perms = set(itertools.permutations(base))
     for p in perms:
         idx = 0
         for letter in p:
@@ -179,7 +169,7 @@ def classical_suite(d: int = 2, n: int = 3, seed: int = 0, tol: float = 1e-12):
 
 
 def truncated_suite(
-    configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: int = 0, tol: float = 1e-9, jobs: int = 1
+    configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: int = 0, tol: float = 1e-9
 ):
     """Seeded PSD checks of the truncated-ambient reduction."""
     out = []
@@ -198,7 +188,7 @@ def truncated_suite(
                 passed=res.passed,
             )
 
-        out.extend(_map_seeds(one, seeds, jobs))
+        out.extend(one(s) for s in range(seeds))
     return out
 
 

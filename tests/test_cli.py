@@ -185,21 +185,35 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_usage_and_resource_exit_codes(tmp_path, singlet_file):
+def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys):
+    def one_stderr_line(code):
+        err = capsys.readouterr().err
+        assert err.startswith("definetti: ") and err.count("\n") == 1, err
+        return code
+
     assert main(["no-such-command"]) == 2
+    # the --jobs thread pool is gone; argparse rejects the flag
+    assert main(["verify-pinching", "--seeds", "2", "--jobs", "2"]) == 2
+    capsys.readouterr()
     code = main(
         ["verify-definetti", "--d", "4", "--n", "4", "--seeds", "1", "--max-dim", "64", "--out", str(tmp_path / "x.json")]
     )
-    assert code == 3
+    assert one_stderr_line(code) == 3
     # malformed inputs map to the usage exit code, not a traceback
-    assert main(["hsep", "--op", str(tmp_path / "missing.json")]) == 2
-    assert main(["hsep", "--op", singlet_file, "--cut", "not-a-cut"]) == 2
-    assert main(["qext", "--op", singlet_file, "--q", "0"]) == 2
+    assert one_stderr_line(main(["hsep", "--op", str(tmp_path / "missing.json")])) == 2
+    assert one_stderr_line(main(["hsep", "--op", singlet_file, "--cut", "not-a-cut"])) == 2
+    assert one_stderr_line(main(["qext", "--op", singlet_file, "--q", "0"])) == 2
+    out = str(tmp_path / "t.json")
+    assert one_stderr_line(main(["verify-truncated", "--config", "2,3,1", "--out", out])) == 2
+    ugly = tmp_path / "ugly.json"
+    ugly.write_text("{\"kind\": \"hsep_seesaw\"}")
+    assert one_stderr_line(main(["recheck-certificate", str(ugly)])) == 2
+    # failed checks (a tampered certificate) also say so on stderr
+    cert = tmp_path / "cert.json"
+    assert main(["hsep", "--op", singlet_file, "--restarts", "4", "--certificate-out", str(cert), "--out", out]) == 0
+    obj = json.loads(cert.read_text())
+    obj["value"] *= 1 - 1e-3
+    cert.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert one_stderr_line(main(["recheck-certificate", str(cert), "--out", out])) == 1
 
-
-def test_jobs_parallel_matches_serial(tmp_path):
-    a = tmp_path / "ser.json"
-    b = tmp_path / "par.json"
-    assert main(["verify-pinching", "--seeds", "8", "--seed", "3", "--out", str(a)]) == 0
-    assert main(["verify-pinching", "--seeds", "8", "--seed", "3", "--jobs", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti.operators import (
@@ -117,12 +119,12 @@ def test_sym_projector_small_cases():
 
 @pytest.mark.parametrize(
     "n,d",
-    [(n, d) for d in (2, 3, 4, 5) for n in range(1, 8) if d**n <= 1024] + [(8, 2)],
+    [(n, d) for d in (2, 3, 4, 5) for n in range(1, 8) if d**n <= 1024] + [(8, 2), (9, 2), (10, 2)],
 )
 def test_sym_projector_constructions_agree(n, d):
     occ = sym_projector(n, d, "occupation")
     avg = sym_projector(n, d, "average")
-    assert np.linalg.norm(occ.matrix - avg.matrix) <= 1e-10
+    assert np.linalg.norm(occ.matrix - avg.matrix) <= 1e-13
     assert abs(occ.trace() - sym_rank(n, d)) < 1e-9
 
 
@@ -191,7 +193,7 @@ def test_permutation_twirl_simple_values():
 
 
 def test_permutation_twirl_iterative_matches_explicit():
-    # beyond six groups the fixed point iteration takes over
+    # seven groups: 5040 permutations, reached through 21 transposes
     rng = stream(6, "twirl-it")
     x = hermitian(random_hermitian(2**7, rng), (2,) * 7)
     tw = permutation_twirl(x, 7)
@@ -213,6 +215,49 @@ def test_b_side_twirl():
     assert_allclose(
         partial_trace(tw, [0]).matrix, partial_trace(m, [0]).matrix, atol=1e-12
     )
+
+
+def _moved_strings(perm, dim: int, n: int) -> np.ndarray:
+    """Index of each length-n base-dim string after slot k takes letter perm[k]."""
+    strings = list(itertools.product(range(dim), repeat=n))
+    index = {s: i for i, s in enumerate(strings)}
+    return np.array([index[tuple(s[p] for p in perm)] for s in strings])
+
+
+def _conjugation_average(x: np.ndarray, a_dim: int, dim: int, n: int) -> np.ndarray:
+    """Mean of (1_a (x) U_pi) x (1_a (x) U_pi)^dag over all pi, by relabelling indices."""
+    acc = np.zeros_like(x)
+    for perm in itertools.permutations(range(n)):
+        moved = _moved_strings(perm, dim, n)
+        rows = (np.arange(a_dim)[:, None] * dim**n + moved[None, :]).reshape(-1)
+        conj = np.empty_like(x)
+        conj[np.ix_(rows, rows)] = x
+        acc += conj
+    return acc / math.factorial(n)
+
+
+@given(
+    a_dim=st.integers(1, 2),
+    dim=st.integers(1, 3),
+    q=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_averages_match_explicit_permutation_sum(a_dim, dim, q, seed):
+    assume(a_dim * dim**q <= 256)
+    rng = stream(seed, "group-average")
+    side = dim**q
+    x = random_hermitian(a_dim * side, rng)
+    b_dims = (a_dim,) + (dim,) * q if a_dim > 1 else (dim,) * q
+    tw = b_side_twirl(hermitian(x, b_dims), q)
+    assert np.abs(tw.matrix - _conjugation_average(x, a_dim, dim, q)).max() <= 1e-12
+    y = x[:side, :side]
+    tw = permutation_twirl(hermitian(y, (dim,) * q), q)
+    assert np.abs(tw.matrix - _conjugation_average(y, 1, dim, q)).max() <= 1e-12
+    proj = np.zeros((side, side))
+    for perm in itertools.permutations(range(q)):
+        proj[_moved_strings(perm, dim, q), np.arange(side)] += 1
+    avg = sym_projector(q, dim, "average").matrix
+    assert np.abs(avg - proj / math.factorial(q)).max() <= 1e-12
 
 
 def test_apply_channel_basics():

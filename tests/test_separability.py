@@ -247,9 +247,9 @@ def test_seesaw_value_within_spectrum_and_recomputable(da, db, restarts, max_ite
 def test_hqext_singlet_values():
     # q = 1 admits every state; beyond, known extendibility values of the
     # maximally entangled state: (1/2)(1 + 1/q)
-    for q, expect in [(1, 1.0), (2, 0.75), (3, 2.0 / 3.0)]:
+    for q in range(1, 9):
         res = hqext(SINGLET, CUT, q)
-        assert abs(res.value - expect) < 1e-10, q
+        assert abs(res.value - (q + 1) / (2 * q)) < 1e-12, q
 
 
 def test_hqext_two_extension_witness_is_feasible():
