@@ -28,12 +28,12 @@ EXIT_RESOURCE = 3
 
 def _default_seed() -> int:
     env = os.environ.get("DEFINETTI_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 0
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DEFINETTI_SEED must be an integer, got {env!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -171,10 +171,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
 
-    seed = args.seed if args.seed is not None else _default_seed()
     set_max_side(args.max_dim)
 
     try:
+        seed = args.seed if args.seed is not None else _default_seed()
         return _dispatch(args, seed)
     except ResourceCapError as exc:
         sys.stderr.write(f"definetti: {exc}\n")

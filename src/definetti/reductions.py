@@ -1,9 +1,9 @@
 """Exact verification of constrained de Finetti reductions.
 
-Every Haar integral appearing in a reduction is evaluated exactly by
-contracting a symmetric-subspace moment operator, so each inequality turns
-into a positive-semidefiniteness check of (bound operator - state) with an
-explicit combinatorial prefactor.
+Every Haar integral appearing in a reduction is evaluated exactly as a Gram
+matrix of symmetric-subspace projections, so each inequality turns into a
+positive-semidefiniteness check of (bound operator - state) with an explicit
+combinatorial prefactor.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .operators import (
     Dims,
     HermitianOperator,
     KrausChannel,
+    _average_permutations,
     _digit_table,
     channel_on_factors,
     check_side,
@@ -30,7 +31,6 @@ from .operators import (
     partial_trace_vector,
     qc_dephasing_channel,
     stream,
-    sym_projector,
     symmetric_state_vector,
     tensor_power,
 )
@@ -132,22 +132,32 @@ def _require_symmetric_vector(theta: np.ndarray, n: int, d: int) -> None:
             raise ValueError("vector is not permutation symmetric")
 
 
+def _sym_columns(vecs: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Columns ``Y[r, :, b] = P_sym^{2m} (vecs[r] (x) e_b)`` of shape
+    ``(rows, d^{2m}, d^m)``, without building the projector."""
+    dm = d**m
+    arr = np.multiply.outer(vecs, np.eye(dm, dtype=complex))
+    arr = _average_permutations(arr.reshape((len(vecs),) + (d,) * (2 * m) + (dm,)), 2 * m, (1,))
+    return arr.reshape(len(vecs), dm * dm, dm)
+
+
 def constrained_moment(theta, n: int, d: int) -> HermitianOperator:
     """Exact Haar integral of ``|<theta|psi^n>|^2 |psi><psi|^n``.
 
-    Computed by contracting ``|theta><theta| (x) identity`` against the
-    symmetric projector on ``2n`` copies, divided by ``binom(2n+d-1, 2n)``.
-    The input must be a unit vector in the n-copy symmetric subspace.
+    The integral is ``<theta|_1 P_sym^{2n} |theta>_1 / binom(2n+d-1, 2n)``.
+    Since ``P = P^dag P``, its ``(a, b)`` entry is the inner product of the
+    projected columns ``Y_b = P_sym^{2n} (theta (x) e_b)``, so the moment is
+    the Gram matrix ``Y^dag Y`` divided by the binomial; the ``d^{2n}``-side
+    projector itself is never built.  The input must be a unit vector in the
+    n-copy symmetric subspace.
     """
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     if theta.size != d**n:
         raise ValueError(f"vector length {theta.size} is not {d}^{n}")
     _require_symmetric_vector(theta, n, d)
     check_side(d ** (2 * n), "degree-2n moment operator")
-    proj = sym_projector(2 * n, d).matrix
-    dn = d**n
-    p4 = proj.reshape(dn, dn, dn, dn)
-    out = np.einsum("u,w,waub->ab", theta, theta.conj(), p4, optimize=True)
+    y = _sym_columns(theta[None, :], n, d)[0]
+    out = y.conj().T @ y
     out /= math.comb(2 * n + d - 1, 2 * n)
     return HermitianOperator((out + out.conj().T) / 2.0, Dims((d,) * n))
 
@@ -157,8 +167,10 @@ def monte_carlo_constrained_moment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimate of :func:`constrained_moment` with standard errors.
 
-    Returns ``(mean, stderr)`` where ``stderr`` combines the entrywise
-    standard errors of the real and imaginary parts in quadrature.
+    Each chunk of up to 2048 Haar states is drawn at once from the stream
+    named by the chunk's first sample index.  Returns ``(mean, stderr)``
+    where ``stderr`` combines the entrywise standard errors of the real and
+    imaginary parts in quadrature.
     """
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     dn = d**n
@@ -169,13 +181,12 @@ def monte_carlo_constrained_moment(
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        block = np.empty((m, dn), dtype=complex)
-        for j in range(m):
-            psi = haar_state_vector(d, seed, "mc", done + j)
-            v = psi
-            for _ in range(n - 1):
-                v = np.kron(v, psi)
-            block[j] = v
+        rng = stream(seed, "haar_pure", "mc", done)
+        psi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        block = psi
+        for _ in range(n - 1):
+            block = (block[:, :, None] * psi[:, None, :]).reshape(m, -1)
         w = np.abs(block @ theta.conj()) ** 2
         prod = (block * w[:, None])[:, :, None] * block.conj()[:, None, :]
         mean += prod.sum(axis=0)
@@ -459,15 +470,16 @@ def check_truncated_ambient_reduction(
     rhs = np.zeros((side, side), dtype=complex)
     d_perp = big_d - d
     for msize in range(n, m + 1):
-        q_moment = sym_projector(2 * msize, d).matrix / math.comb(2 * msize + d - 1, 2 * msize)
+        check_side(d ** (2 * msize), "degree-2m moment operator")
+        norm = math.comb(2 * msize + d - 1, 2 * msize)
         dm = d**msize
-        q4 = q_moment.reshape(dm, dm, dm, dm)
         for subset in itertools.combinations(range(m), msize):
             comp = [i for i in range(m) if i not in subset]
             view = arr.transpose(list(comp) + list(subset))
             slicer = tuple(slice(d, big_d) for _ in comp) + tuple(slice(0, d) for _ in subset)
             block = view[slicer].reshape(max(d_perp ** len(comp), 1), dm)
-            term = np.einsum("us,vt,tasb->uavb", block, block.conj(), q4, optimize=True)
+            y = _sym_columns(block, msize, d)
+            term = np.einsum("vxa,uxb->uavb", y.conj(), y) / norm
             rows = _global_indices(comp, subset, d, d_perp, big_d, m)
             flat = term.reshape(rows.size, rows.size)
             rhs[np.ix_(rows, rows)] += flat

@@ -185,7 +185,7 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys):
+def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys, monkeypatch):
     def one_stderr_line(code):
         err = capsys.readouterr().err
         assert err.startswith("definetti: ") and err.count("\n") == 1, err
@@ -208,6 +208,10 @@ def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys):
     ugly = tmp_path / "ugly.json"
     ugly.write_text("{\"kind\": \"hsep_seesaw\"}")
     assert one_stderr_line(main(["recheck-certificate", str(ugly)])) == 2
+    # a non-integer DEFINETTI_SEED is a usage error, not seed 0
+    monkeypatch.setenv("DEFINETTI_SEED", "abc")
+    assert one_stderr_line(main(["verify-pinching", "--seeds", "2", "--out", out])) == 2
+    monkeypatch.delenv("DEFINETTI_SEED")
     # failed checks (a tampered certificate) also say so on stderr
     cert = tmp_path / "cert.json"
     assert main(["hsep", "--op", singlet_file, "--restarts", "4", "--certificate-out", str(cert), "--out", out]) == 0

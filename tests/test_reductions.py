@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from definetti.operators import (
+    ResourceCapError,
     density,
     haar_moment_operator,
     haar_state_vector,
@@ -16,11 +18,13 @@ from definetti.operators import (
     pure_state_density,
     qc_dephasing_channel,
     completely_depolarizing_channel,
+    set_max_side,
     stream,
     sym_projector,
     symmetric_state_vector,
 )
 from definetti.reductions import (
+    _global_indices,
     check_classical_reduction,
     check_fixed_point_reduction,
     check_integrand_domination,
@@ -121,6 +125,49 @@ def test_constrained_moment_monte_carlo_agreement():
     theta = symmetric_state_vector(2, 2, 6)
     exact = constrained_moment(theta, 2, 2).matrix
     mean, stderr = monte_carlo_constrained_moment(theta, 2, 2, samples=20_000, seed=6)
+    assert (np.abs(mean - exact) <= 5 * stderr + 1e-12).all()
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_constrained_moment_matches_dense_projector(n, d):
+    theta = symmetric_state_vector(n, d, 16, n, d)
+    dn = d**n
+    proj = sym_projector(2 * n, d).matrix.reshape(dn, dn, dn, dn)
+    dense = np.einsum("u,w,waub->ab", theta, theta.conj(), proj) / math.comb(2 * n + d - 1, 2 * n)
+    got = constrained_moment(theta, n, d).matrix
+    assert np.abs(got - dense).max() < 1e-13
+
+
+def test_constrained_moment_keeps_side_cap():
+    theta = symmetric_state_vector(4, 2, 17)
+    set_max_side(255)
+    with pytest.raises(ResourceCapError):
+        constrained_moment(theta, 4, 2)
+    # the ambient side 81 fits, the degree-8 moment on the low block does not
+    set_max_side(200)
+    with pytest.raises(ResourceCapError):
+        check_truncated_ambient_reduction(2, 2, 2, 3, seed=0)
+
+
+def test_constrained_moment_peak_memory_stays_small():
+    # the side-4096 projector alone would take 268 MB
+    theta = symmetric_state_vector(6, 2, 18)
+    tracemalloc.start()
+    try:
+        res = check_pure_reduction(theta, 6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 64 * 2**20, peak
+
+
+def test_monte_carlo_crosses_a_chunk_boundary():
+    theta = symmetric_state_vector(2, 2, 19)
+    exact = constrained_moment(theta, 2, 2).matrix
+    mean, stderr = monte_carlo_constrained_moment(theta, 2, 2, samples=2049, seed=19)
+    again, stderr_again = monte_carlo_constrained_moment(theta, 2, 2, samples=2049, seed=19)
+    assert np.array_equal(mean, again) and np.array_equal(stderr, stderr_again)
     assert (np.abs(mean - exact) <= 5 * stderr + 1e-12).all()
 
 
@@ -264,6 +311,35 @@ def test_truncated_reduction_configs():
             assert res.passed, (d, big_d, n, k, s, res.gap_min_eig)
     expected = sum(math.comb(2, q) for q in range(2)) * math.comb(2, 1) ** 3
     assert check_truncated_ambient_reduction(1, 1, 2, 3, seed=0).prefactor == expected == 24
+
+
+def dense_truncated_rhs(theta, n, k, d, big_d):
+    """The truncated right-hand side through the dense degree-2m projector."""
+    m = n + k
+    side = big_d**m
+    arr = theta.reshape((big_d,) * m)
+    rhs = np.zeros((side, side), dtype=complex)
+    for msize in range(n, m + 1):
+        dm = d**msize
+        q4 = sym_projector(2 * msize, d).matrix.reshape(dm, dm, dm, dm) / math.comb(2 * msize + d - 1, 2 * msize)
+        for subset in itertools.combinations(range(m), msize):
+            comp = [i for i in range(m) if i not in subset]
+            view = arr.transpose(comp + list(subset))
+            slicer = tuple(slice(d, big_d) for _ in comp) + tuple(slice(0, d) for _ in subset)
+            block = view[slicer].reshape(max((big_d - d) ** len(comp), 1), dm)
+            term = np.einsum("us,vt,tasb->uavb", block, block.conj(), q4)
+            rows = _global_indices(comp, subset, d, big_d - d, big_d, m)
+            rhs[np.ix_(rows, rows)] += term.reshape(rows.size, rows.size)
+    prefactor = sum(math.comb(m, q) for q in range(k + 1)) * math.comb(n + d - 1, n) ** 3
+    return prefactor * (rhs + rhs.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("d,big_d,n,k", [(2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 2), (1, 3, 2, 2)])
+def test_truncated_rhs_matches_dense_projector(d, big_d, n, k):
+    theta = truncated_symmetric_state_vector(n, k, d, big_d, 20)
+    res = check_truncated_ambient_reduction(n, k, d, big_d, seed=20, theta=theta)
+    dense = dense_truncated_rhs(theta, n, k, d, big_d)
+    assert np.abs(res.rhs.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_truncated_state_has_low_letter_support():
