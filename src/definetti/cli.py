@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import suites
-from .operators import ResourceCapError, set_max_side
+from .operators import ResourceCapError, max_side, set_max_side
 from .separability import BipartiteCut, certificate_to_json, hsep_seesaw, recheck_certificate
 from .serialize import load_operator
 
@@ -171,9 +171,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0,) else 0
 
-    set_max_side(args.max_dim)
-
+    previous_cap = max_side()
     try:
+        set_max_side(args.max_dim)
         seed = args.seed if args.seed is not None else _default_seed()
         return _dispatch(args, seed)
     except ResourceCapError as exc:
@@ -182,6 +182,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"definetti: {exc}\n")
         return EXIT_USAGE
+    finally:
+        set_max_side(previous_cap)
 
 
 def _dispatch(args, seed: int) -> int:

@@ -183,7 +183,7 @@ class Povm:
     labels: tuple = ()
 
     def __post_init__(self):
-        elems = tuple(np.asarray(_matrix(e), dtype=complex) for e in self.elements)
+        elems = tuple(np.array(_matrix(e), dtype=complex) for e in self.elements)
         if not elems:
             raise ValueError("a POVM needs at least one element")
         side = elems[0].shape[0]
@@ -198,12 +198,9 @@ class Povm:
         labels = self.labels or tuple(range(len(elems)))
         if len(labels) != len(elems):
             raise ValueError("one label per element required")
-        frozen = []
         for e in elems:
-            e = e.copy()
             e.setflags(write=False)
-            frozen.append(e)
-        object.__setattr__(self, "elements", tuple(frozen))
+        object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "labels", tuple(labels))
 
     @property

@@ -151,7 +151,11 @@ def as_dims(dims) -> Dims:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Square complex matrix tagged with the dimensions of its factors."""
+    """Square complex matrix tagged with the dimensions of its factors.
+
+    Unchecked internal constructor for kernel output: it checks the shape
+    only and keeps a read-only view of ``matrix``, with no copy.  Outside
+    data goes through :func:`hermitian`."""
 
     matrix: np.ndarray
     dims: Dims
@@ -165,13 +169,7 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix side {mat.shape[0]} does not match dims {dims.factors}"
             )
-        defect = np.linalg.norm(mat - mat.conj().T)
-        tol = HERMITICITY_ATOL + HERMITICITY_RTOL * np.linalg.norm(mat)
-        if defect > tol:
-            raise ValueError(
-                f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}"
-            )
-        mat = mat.copy()
+        mat = mat.view()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "dims", dims)
@@ -189,7 +187,15 @@ class HermitianOperator:
 
 
 def hermitian(matrix, dims) -> HermitianOperator:
-    return HermitianOperator(np.asarray(matrix), as_dims(dims))
+    """Checked entry point for outside data: copies ``matrix`` and requires
+    ``||A - A^dag||_F <= HERMITICITY_ATOL + HERMITICITY_RTOL ||A||_F``."""
+    op = HermitianOperator(np.array(matrix, dtype=np.complex128, order="C"), dims)
+    mat = op.matrix
+    defect = np.linalg.norm(mat - mat.conj().T)
+    tol = HERMITICITY_ATOL + HERMITICITY_RTOL * np.linalg.norm(mat)
+    if defect > tol:
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
+    return op
 
 
 def identity_operator(dims) -> HermitianOperator:
@@ -199,15 +205,15 @@ def identity_operator(dims) -> HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """PSD operator with unit trace (or sub-normalized where flagged)."""
+    """PSD operator with unit trace (or sub-normalized where flagged).
+
+    Unchecked internal constructor: it checks the trace only.  Outside data
+    goes through :func:`density`."""
 
     op: HermitianOperator
     normalized: bool = True
 
     def __post_init__(self):
-        min_eig = float(np.linalg.eigvalsh(self.op.matrix)[0])
-        if min_eig < -PSD_MIN_EIG_TOL:
-            raise ValueError(f"not PSD: minimum eigenvalue {min_eig:.3e}")
         tr = self.op.trace()
         if self.normalized:
             if abs(tr - 1.0) > TRACE_TOL:
@@ -226,7 +232,13 @@ class DensityMatrix:
 
 
 def density(matrix, dims, normalized: bool = True) -> DensityMatrix:
-    return DensityMatrix(hermitian(matrix, dims), normalized=normalized)
+    """Checked entry point for outside data: :func:`hermitian`, then a
+    minimum eigenvalue of at least ``-PSD_MIN_EIG_TOL`` and the trace."""
+    op = hermitian(matrix, dims)
+    min_eig = float(np.linalg.eigvalsh(op.matrix)[0])
+    if min_eig < -PSD_MIN_EIG_TOL:
+        raise ValueError(f"not PSD: minimum eigenvalue {min_eig:.3e}")
+    return DensityMatrix(op, normalized=normalized)
 
 
 def pure_state_density(vector: np.ndarray, dims, normalized: bool = True) -> DensityMatrix:
@@ -245,7 +257,7 @@ class KrausChannel:
     def __post_init__(self):
         in_dims = as_dims(self.in_dims)
         out_dims = as_dims(self.out_dims)
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus_ops)
+        ops = tuple(np.array(k, dtype=np.complex128) for k in self.kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         for k in ops:
@@ -258,12 +270,9 @@ class KrausChannel:
         defect = np.linalg.norm(total - np.eye(in_dims.size))
         if defect > KRAUS_COMPLETENESS_TOL:
             raise ValueError(f"Kraus operators are not trace preserving: {defect:.3e}")
-        frozen = []
         for k in ops:
-            k = k.copy()
             k.setflags(write=False)
-            frozen.append(k)
-        object.__setattr__(self, "kraus_ops", tuple(frozen))
+        object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
 
@@ -550,18 +559,20 @@ def channel_on_factors(ch: KrausChannel, op: HermitianOperator, positions) -> He
     if len(ch.in_dims) != 1 or ch.in_dims.size != ch.out_dims.size:
         raise ValueError("channel_on_factors needs a square single-factor channel")
     d = ch.in_dims.size
-    out = op
+    side = op.side
+    mat = op.matrix
     for pos in sorted(int(p) for p in positions):
-        if out.dims[pos] != d:
-            raise ValueError(f"factor {pos} has dim {out.dims[pos]}, channel wants {d}")
-        left = math.prod(out.dims.factors[:pos]) if pos else 1
-        right = math.prod(out.dims.factors[pos + 1 :]) if pos + 1 < len(out.dims) else 1
-        acc = np.zeros_like(out.matrix)
+        if op.dims[pos] != d:
+            raise ValueError(f"factor {pos} has dim {op.dims[pos]}, channel wants {d}")
+        left = math.prod(op.dims.factors[:pos])
+        right = side // (left * d)
+        acc = np.zeros_like(mat)
         for k in ch.kraus_ops:
-            kk = np.kron(np.kron(np.eye(left), k), np.eye(right))
-            acc += kk @ out.matrix @ kk.conj().T
-        out = HermitianOperator(acc, out.dims)
-    return out
+            # K on the factor's row axis, then conj(K) on its column axis
+            rows = (k @ mat.reshape(left, d, right * side)).reshape(side * left, d, right)
+            acc += (k.conj() @ rows).reshape(side, side)
+        mat = acc
+    return HermitianOperator(mat, op.dims)
 
 
 def identity_channel(dims) -> KrausChannel:

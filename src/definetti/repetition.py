@@ -33,7 +33,7 @@ from .operators import (
     permute_factors,
     stream,
 )
-from .separability import BipartiteCut, hqext
+from .separability import BipartiteCut, _require_contraction, hqext
 
 __all__ = [
     "ThresholdOperator",
@@ -177,6 +177,13 @@ def bound_threshold_dim(alpha: float, delta: float, d: int, n: int) -> float:
 # post-measurement disturbance
 
 
+def _conditioned(meas: np.ndarray, state: np.ndarray, dims: Dims, keep, p: float) -> HermitianOperator:
+    """State left on ``keep`` after outcome ``M`` (probability ``p``) when ``M``
+    acts only on the other factors: ``Tr_rest((M rho + rho M) / 2) / p``."""
+    weighted = HermitianOperator((meas @ state + state @ meas) / 2.0, dims)
+    return HermitianOperator(partial_trace(weighted, keep).matrix / p, dims.subset(keep))
+
+
 @dataclass(frozen=True, eq=False)
 class PostMeasurementResult:
     p: float
@@ -200,19 +207,14 @@ def post_measurement_update(
     nu = len(t_on_u.dims)
     if rho_uv.dims.factors[:nu] != t_on_u.dims.factors or nu >= len(rho_uv.dims):
         raise ValueError("T must act on a leading proper factor group of the state")
-    w = np.linalg.eigvalsh(t_on_u.matrix)
-    if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
-        raise ValueError("T is not a POVM element")
+    w = _require_contraction(t_on_u.matrix)
     keep_v = list(range(nu, len(rho_uv.dims)))
     dim_v = math.prod(rho_uv.dims.factors[nu:])
     t_full = np.kron(t_on_u.matrix, np.eye(dim_v))
     p = float(np.real(np.trace(t_full @ rho_uv.matrix)))
     if p <= 1e-14:
         raise ValueError(f"vanishing outcome probability {p!r}")
-    weighted = HermitianOperator(
-        (t_full @ rho_uv.matrix + rho_uv.matrix @ t_full) / 2.0, rho_uv.dims
-    )
-    tau_mat = partial_trace(weighted, keep_v).matrix / p
+    tau_mat = _conditioned(t_full, rho_uv.matrix, rho_uv.dims, keep_v, p).matrix
     # sqrt(T) Kraus form; identical after the partial trace by cyclicity
     wc = np.clip(w, 0.0, None)
     vecs = np.linalg.eigh(t_on_u.matrix)[1]
@@ -303,9 +305,7 @@ def cmi_chain_check(
         raise ValueError("need states on n copies each and 1 <= k <= n-1")
     if any(f != da for f in alpha.dims) or any(f != db for f in beta.dims):
         raise ValueError("state factors do not match the measurement")
-    w = np.linalg.eigvalsh(m.matrix)
-    if w[0] < -1e-10 or w[-1] > 1.0 + 1e-10:
-        raise ValueError("measurement operator must satisfy 0 <= M <= 1")
+    _require_contraction(m.matrix)
 
     state = np.kron(alpha.matrix, beta.matrix)
     dims = Dims(alpha.dims.factors + beta.dims.factors)
@@ -313,10 +313,8 @@ def cmi_chain_check(
     p_k = float(np.real(np.trace(meas.matrix @ state)))
     if p_k <= 1e-14:
         raise ValueError(f"vanishing pass probability {p_k!r}")
-    weighted = HermitianOperator((meas.matrix @ state + state @ meas.matrix) / 2.0, dims)
     keep = list(range(k, n)) + list(range(n + k, 2 * n))
-    tau = DensityMatrix(HermitianOperator(partial_trace(weighted, keep).matrix / p_k,
-                                          dims.subset(keep)))
+    tau = DensityMatrix(_conditioned(meas.matrix, state, dims, keep, p_k))
     r = n - k
     a_pos = list(range(r))
     b_pos = list(range(r, 2 * r))
@@ -527,9 +525,6 @@ def recursive_conditioning_demo(
         if ratio <= 1e-14:
             break
         keep = [t for t in range(r) if t != t_choice] + [r + t for t in range(r) if t != t_choice]
-        weighted = HermitianOperator(
-            (meas.matrix @ tau.matrix + tau.matrix @ meas.matrix) / 2.0, tau.dims
-        )
         p_k = p_prev * ratio
         # exact reconstruction of p_k from scratch on the untouched input
         tested = [i for i in range(n) if i not in remaining] + [chosen]
@@ -538,9 +533,7 @@ def recursive_conditioning_demo(
         )
         ratio_defect = max(ratio_defect, abs(direct - p_k))
         if k < n:
-            tau = DensityMatrix(
-                HermitianOperator(partial_trace(weighted, keep).matrix / ratio, tau.dims.subset(keep))
-            )
+            tau = DensityMatrix(_conditioned(meas.matrix, tau.matrix, tau.dims, keep, ratio))
             rr = r - 1
             chain_value = sum(
                 conditional_mutual_information(tau, [t], [rr + t], list(range(t)))
@@ -665,7 +658,7 @@ def projective_power_family(atoms, name: str = "projective-power") -> Constraint
 def separable_family(dims, cut: BipartiteCut, seed: int = 0, name: str = "separable") -> ConstraintFamily:
     """Separable states across ``cut``; oracles are seesaw / Frank-Wolfe."""
     from .separability import hsep_seesaw, max_fidelity_to_sep
-    from .operators import as_dims, density
+    from .operators import as_dims, density, hermitian
 
     dims = as_dims(dims)
     da = math.prod(dims[i] for i in cut.a_factors)
@@ -673,7 +666,7 @@ def separable_family(dims, cut: BipartiteCut, seed: int = 0, name: str = "separa
     d_loc = max(da, db)
 
     def support(m: np.ndarray) -> float:
-        return hsep_seesaw(HermitianOperator(m, dims), cut, seed=seed).value
+        return hsep_seesaw(hermitian(m, dims), cut, seed=seed).value
 
     def fid(rho: np.ndarray) -> float:
         return max_fidelity_to_sep(density(rho, dims), cut, seed=seed).value

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .operators import Dims, HermitianOperator
+from .operators import Dims, HermitianOperator, hermitian
 
 __all__ = [
     "operator_to_json",
@@ -41,7 +41,7 @@ def operator_from_json(obj: dict) -> HermitianOperator:
     im = np.asarray(obj["im"], dtype=float)
     if re.shape != im.shape:
         raise ValueError("re and im blocks have different shapes")
-    return HermitianOperator(re + 1j * im, dims)
+    return hermitian(re + 1j * im, dims)
 
 
 def dump_operator(op: HermitianOperator, path) -> None:
@@ -75,4 +75,4 @@ def operator_from_bytes(blob: bytes) -> HermitianOperator:
     re = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
     im = np.frombuffer(blob, dtype="<f8", count=count, offset=offset + 8 * count)
     mat = (re + 1j * im).reshape((side, side), order="F")
-    return HermitianOperator(mat, dims)
+    return hermitian(mat, dims)

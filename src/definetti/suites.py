@@ -3,6 +3,7 @@
 Each record is a plain dict with the fixed schema ``{suite, anchor, params,
 value, gap, bound, tolerance, pass, seed}`` (unused entries null), so suites
 serialize deterministically and the command line front end stays thin.
+``pass`` is null for records that report a value without deciding anything.
 """
 
 from __future__ import annotations
@@ -214,7 +215,6 @@ def hsep_records(
             },
             seed,
             value=res.value,
-            passed=True,
         )
     ]
     if q_max:
@@ -243,7 +243,6 @@ def qext_records(op: HermitianOperator, cut: separability.BipartiteCut, q: int, 
             {"q": q, "cut_a": list(cut.a_factors), "cut_b": list(cut.b_factors)},
             seed,
             value=res.value,
-            passed=True,
         )
     ]
 
@@ -297,7 +296,6 @@ def repetition_bounds_records(
             },
             seed,
             value=repetition.bound_hsep_power(float(delta_f), float(r_f), n),
-            passed=True,
         )
     ]
     alpha_f = Fraction(str(alpha)) if alpha is not None else delta_f
@@ -308,7 +306,6 @@ def repetition_bounds_records(
             {"alpha": float(alpha_f), "r": float(r_f), "n": n},
             seed,
             value=repetition.bound_threshold(float(alpha_f), float(r_f), n),
-            passed=True,
         )
     )
     if h_qext_val is not None and q:
@@ -319,7 +316,6 @@ def repetition_bounds_records(
                 {"h_qext": h_qext_val, "q": q, "n": n},
                 seed,
                 value=repetition.bound_qext_power(h_qext_val, q, n),
-                passed=True,
             )
         )
     if d:
@@ -330,7 +326,6 @@ def repetition_bounds_records(
                 {"delta": float(delta_f), "d": d, "n": n},
                 seed,
                 value=repetition.bound_sep_dim(float(delta_f), d, n),
-                passed=True,
             )
         )
         records.append(
@@ -340,7 +335,6 @@ def repetition_bounds_records(
                 {"alpha": float(alpha_f), "delta": float(delta_f), "d": d, "n": n},
                 seed,
                 value=repetition.bound_threshold_dim(float(alpha_f), float(delta_f), d, n),
-                passed=True,
             )
         )
     return records

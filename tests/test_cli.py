@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from definetti.cli import main
-from definetti.operators import hermitian
+from definetti.operators import hermitian, max_side, set_max_side
 from definetti.serialize import dump_operator
 
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -99,6 +101,31 @@ def test_qext(tmp_path, singlet_file):
     code, blob = run(tmp_path, "qext", "--op", singlet_file, "--q", "2")
     assert code == 0
     assert abs(json.loads(blob)[0]["value"] - 0.75) < 1e-9
+
+
+def test_value_only_records_have_null_pass(tmp_path, singlet_file):
+    code, blob = run(tmp_path, "hsep", "--op", singlet_file, "--q-max", "2")
+    assert code == 0
+    passes = {r["anchor"]: r["pass"] for r in json.loads(blob)}
+    assert passes == {"separability-support-seesaw": None, "certified-interval": True}
+    code, blob = run(tmp_path, "qext", "--op", singlet_file, "--q", "2", "--format", "csv")
+    assert code == 0
+    assert next(csv.DictReader(io.StringIO(blob.decode())))["pass"] == ""
+    code, blob = run(
+        tmp_path, "repetition-bounds", "--delta", "0.5", "--d", "2", "--qext-val", "0.75", "--q", "2"
+    )
+    assert code == 0
+    recs = json.loads(blob)
+    assert len(recs) == 5 and all(r["pass"] is None for r in recs)
+
+
+def test_side_cap_is_restored_after_main(tmp_path):
+    set_max_side(100)
+    out = str(tmp_path / "x.json")
+    assert main(["verify-definetti", "--seeds", "1", "--max-dim", "64", "--out", out]) == 0
+    assert max_side() == 100
+    assert main(["verify-definetti", "--d", "4", "--n", "4", "--seeds", "1", "--max-dim", "64"]) == 3
+    assert max_side() == 100
 
 
 def test_repetition_bounds_exact_value(tmp_path):
@@ -202,8 +229,12 @@ def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys, monkeypat
     # malformed inputs map to the usage exit code, not a traceback
     assert one_stderr_line(main(["hsep", "--op", str(tmp_path / "missing.json")])) == 2
     assert one_stderr_line(main(["hsep", "--op", singlet_file, "--cut", "not-a-cut"])) == 2
-    assert one_stderr_line(main(["qext", "--op", singlet_file, "--q", "0"])) == 2
     out = str(tmp_path / "t.json")
+    assert one_stderr_line(main(["qext", "--op", singlet_file, "--q", "0"])) == 2
+    skew = tmp_path / "skew.json"
+    skew.write_text(json.dumps({"dims": [2], "re": [[0.0, 1.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    assert one_stderr_line(main(["hsep", "--op", str(skew), "--out", out])) == 2
+    assert one_stderr_line(main(["verify-pinching", "--seeds", "2", "--max-dim", "0", "--out", out])) == 2
     assert one_stderr_line(main(["verify-truncated", "--config", "2,3,1", "--out", out])) == 2
     ugly = tmp_path / "ugly.json"
     ugly.write_text("{\"kind\": \"hsep_seesaw\"}")

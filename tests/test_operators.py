@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti.operators import (
+    HERMITICITY_ATOL,
+    HERMITICITY_RTOL,
+    PSD_MIN_EIG_TOL,
+    TRACE_TOL,
     DensityMatrix,
     Dims,
+    HermitianOperator,
     PermutationSpec,
     ResourceCapError,
     apply_channel,
     b_side_twirl,
+    channel_on_factors,
     completely_depolarizing_channel,
     density,
     eig_hermitian,
@@ -42,6 +48,7 @@ from definetti.operators import (
     tensor,
     tensor_power,
 )
+from definetti.reductions import constrained_moment
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SWAP = np.array(
@@ -404,3 +411,112 @@ def test_partial_trace_vector_matches_outer_product():
             partial_trace(full, keep).matrix,
             atol=1e-12,
         )
+
+
+def _kron_channel_on_factors(ch, op, positions):
+    """Reference: conjugate by ``1 (x) K (x) 1`` for every Kraus operator and position."""
+    out = op.matrix
+    for pos in sorted(positions):
+        left = math.prod(op.dims.factors[:pos])
+        right = math.prod(op.dims.factors[pos + 1 :])
+        acc = np.zeros_like(out)
+        for k in ch.kraus_ops:
+            kk = np.kron(np.kron(np.eye(left), k), np.eye(right))
+            acc += kk @ out @ kk.conj().T
+        out = acc
+    return out
+
+
+def _single_factor_channels(d):
+    chans = [identity_channel((d,)), qc_dephasing_channel(d), completely_depolarizing_channel(d)]
+    return chans + [pauli_twirl_channel()] if d == 2 else chans
+
+
+def _subsets(items):
+    return itertools.chain.from_iterable(itertools.combinations(items, r) for r in range(len(items) + 1))
+
+
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_on_factors_matches_kron_reference(dims, d, seed):
+    dims = [d] + dims[1:]
+    op = hermitian(random_hermitian(math.prod(dims), stream(seed, "channel-factors")), dims)
+    slots = [i for i, f in enumerate(dims) if f == d]
+    for ch in _single_factor_channels(d):
+        for positions in _subsets(slots):
+            out = channel_on_factors(ch, op, positions)
+            assert out.dims == op.dims
+            assert np.abs(out.matrix - _kron_channel_on_factors(ch, op, positions)).max() <= 1e-12
+
+
+def _assert_hermitian(op):
+    m = op.matrix
+    assert np.linalg.norm(m - m.conj().T) <= HERMITICITY_ATOL + HERMITICITY_RTOL * np.linalg.norm(m)
+
+
+def _assert_state(rho):
+    assert float(np.linalg.eigvalsh(rho.matrix)[0]) >= -PSD_MIN_EIG_TOL
+    assert abs(rho.op.trace() - 1.0) <= TRACE_TOL
+
+
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_return_hermitian_operators(dims, seed):
+    """The unchecked constructor trusts these kernels; the invariant is held here."""
+    rng = stream(seed, "kernel-hermiticity")
+    side = math.prod(dims)
+    x = hermitian(random_hermitian(side, rng), dims)
+    m = len(dims)
+    for keep in _subsets(range(m)):
+        if keep:
+            _assert_hermitian(partial_trace(x, keep))
+            _assert_hermitian(partial_trace_vector(haar_state_vector(side, seed, "ptv"), dims, keep))
+    _assert_hermitian(permute_factors(x, [int(i) for i in rng.permutation(m)]))
+    _assert_hermitian(tensor(x, x))
+    d = dims[0]
+    for ch in _single_factor_channels(d):
+        _assert_hermitian(channel_on_factors(ch, x, [i for i, f in enumerate(dims) if f == d]))
+        rho = induced_mixed_state((d,), seed, "apply")
+        out = apply_channel(ch, rho)
+        _assert_hermitian(out.op)
+        _assert_state(out)
+    _assert_state(induced_mixed_state(dims, seed, "induced"))
+
+
+@given(n=st.integers(1, 3), d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_twirls_and_moment_return_hermitian_operators(n, d, seed):
+    rng = stream(seed, "twirl-hermiticity")
+    y = hermitian(random_hermitian(d**n, rng), (d,) * n)
+    _assert_hermitian(permutation_twirl(y, n))
+    z = hermitian(random_hermitian(2 * d**n, rng), (2,) + (d,) * n)
+    _assert_hermitian(b_side_twirl(z, n))
+    _assert_hermitian(constrained_moment(symmetric_state_vector(n, d, seed), n, d))
+
+
+def test_hermitian_copies_and_freezes():
+    a = random_hermitian(4, stream(12, "copy"))
+    op = hermitian(a, (2, 2))
+    kept = op.matrix.copy()
+    a[0, 1] += 1.0
+    assert_allclose(op.matrix, kept)
+    assert not op.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 0.0
+
+
+def test_constructors_neither_copy_nor_check(monkeypatch):
+    a = np.diag([1.5, -0.5]).astype(complex)
+    for name in ("eigvalsh", "eigh", "norm"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: pytest.fail("norm or eigensolver in a constructor"))
+    op = HermitianOperator(a, (2,))
+    assert np.shares_memory(op.matrix, a) and a.flags.writeable and not op.matrix.flags.writeable
+    assert DensityMatrix(op).matrix is op.matrix
+    with pytest.raises(ValueError):
+        HermitianOperator(np.zeros((2, 3)), (2,))
+    with pytest.raises(ValueError):
+        DensityMatrix(HermitianOperator(np.diag([0.7, 0.7]), (2,)))

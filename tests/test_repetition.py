@@ -145,6 +145,18 @@ def test_post_measurement_vanishing_probability():
         post_measurement_update(rho, t)
 
 
+def test_outside_measurements_rejected():
+    rho = induced_mixed_state((2, 2), 4, "reject")
+    with pytest.raises(ValueError, match="0 <= M <= 1"):
+        post_measurement_update(rho, hermitian(2.0 * np.eye(2), (2,)))
+    alpha = induced_mixed_state((2, 2), 4, "a")
+    beta = induced_mixed_state((2, 2), 4, "b")
+    with pytest.raises(ValueError, match="0 <= M <= 1"):
+        cmi_chain_check(hermitian(2.0 * np.eye(4), (2, 2)), alpha, beta, 1)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        separable_family((2, 2), CUT).support(np.triu(np.ones((4, 4))))
+
+
 # -- CMI chain ----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import pytest
 from numpy.testing import assert_allclose
@@ -59,3 +60,16 @@ def test_json_shape_mismatch_rejected():
     obj["im"] = [[0.0]]
     with pytest.raises(ValueError):
         operator_from_json(obj)
+
+
+def test_loaders_reject_non_hermitian():
+    op = _random_op(5)
+    obj = operator_to_json(op)
+    obj["re"][0][1] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        operator_from_json(obj)
+    # the last float64 is the imaginary part of the last diagonal entry
+    blob = bytearray(operator_to_bytes(op))
+    blob[-8:] = struct.pack("<d", 1.0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        operator_from_bytes(bytes(blob))
