@@ -467,6 +467,7 @@ def check_truncated_ambient_reduction(
     theta = np.asarray(theta, dtype=complex).reshape(-1)
 
     arr = theta.reshape((big_d,) * m)
+    index = np.arange(side).reshape((big_d,) * m)
     rhs = np.zeros((side, side), dtype=complex)
     d_perp = big_d - d
     for msize in range(n, m + 1):
@@ -475,12 +476,13 @@ def check_truncated_ambient_reduction(
         dm = d**msize
         for subset in itertools.combinations(range(m), msize):
             comp = [i for i in range(m) if i not in subset]
-            view = arr.transpose(list(comp) + list(subset))
+            order = comp + list(subset)
             slicer = tuple(slice(d, big_d) for _ in comp) + tuple(slice(0, d) for _ in subset)
-            block = view[slicer].reshape(max(d_perp ** len(comp), 1), dm)
+            block = arr.transpose(order)[slicer].reshape(max(d_perp ** len(comp), 1), dm)
             y = _sym_columns(block, msize, d)
             term = np.einsum("vxa,uxb->uavb", y.conj(), y) / norm
-            rows = _global_indices(comp, subset, d, d_perp, big_d, m)
+            # basis indices of the block's entries, comp digits the slow axis
+            rows = index.transpose(order)[slicer].reshape(-1)
             flat = term.reshape(rows.size, rows.size)
             rhs[np.ix_(rows, rows)] += flat
 
@@ -498,26 +500,3 @@ def check_truncated_ambient_reduction(
         params={"n": n, "k": k, "d": d, "D": big_d, "seed": seed},
         tolerance=tol,
     )
-
-
-def _global_indices(comp, subset, d, d_perp, big_d, m) -> np.ndarray:
-    """Basis indices of strings that are perp on ``comp`` and low on ``subset``,
-    enumerated with the comp digits as the slow axis."""
-    strides = big_d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    comp_count = max(d_perp ** len(comp), 1)
-    sub_count = d ** len(subset)
-    rows = np.zeros(comp_count * sub_count, dtype=np.int64)
-    for ci in range(comp_count):
-        base = 0
-        rem = ci
-        for pos in reversed(comp):
-            base += (d + rem % d_perp) * strides[pos]
-            rem //= d_perp
-        for si in range(sub_count):
-            off = 0
-            rem2 = si
-            for pos in reversed(subset):
-                off += (rem2 % d) * strides[pos]
-                rem2 //= d
-            rows[ci * sub_count + si] = base + off
-    return rows

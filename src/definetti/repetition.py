@@ -608,29 +608,16 @@ class ConstraintFamily:
 
 def _fw_fidelity_hull(rho: np.ndarray, atoms, iters: int = 400, stop_gain: float = 1e-12) -> float:
     """Frank-Wolfe maximization of fidelity over a finite-atom hull."""
+    from .separability import _fw_fidelity
+
     atoms = [np.asarray(a, dtype=complex) for a in atoms]
-    dim = rho.shape[0]
-    from .separability import _fidelity_gradient, _golden_max, _sqrt_psd
 
-    rho_sqrt = _sqrt_psd(rho)
-    sigma = sum(atoms) / len(atoms)
-    value = fidelity(rho, sigma)
-    for _ in range(iters):
-        grad = _fidelity_gradient(rho_sqrt, sigma)
+    def lmo(grad, it):
         scores = [float(np.real(np.trace(grad @ a))) for a in atoms]
-        best = atoms[int(np.argmax(scores))]
-        if max(scores) - float(np.real(np.trace(grad @ sigma))) <= stop_gain:
-            break
+        j = int(np.argmax(scores))
+        return j, atoms[j]
 
-        def f_line(t, best=best):
-            return fidelity(rho, (1.0 - t) * sigma + t * best)
-
-        t_best, f_best = _golden_max(f_line)
-        if f_best <= value + stop_gain:
-            break
-        sigma = (1.0 - t_best) * sigma + t_best * best
-        value = f_best
-    return float(value)
+    return _fw_fidelity(rho, list(enumerate(atoms)), lmo, iters, stop_gain).value
 
 
 def projective_power_family(atoms, name: str = "projective-power") -> ConstraintFamily:
@@ -955,18 +942,14 @@ def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
 def _closest_hull_trace_norm(rho: np.ndarray, atoms, iters: int = 800) -> np.ndarray:
     """Approximate trace-norm projection onto a finite-atom hull.
 
-    Warm-started from the Frobenius projection (a smooth simplex QP), then
-    polished by projected subgradient steps on the trace-norm objective,
-    keeping the best iterate.
+    Warm-started from the exact Frobenius projection (minimum-norm-point
+    weights), then polished by projected subgradient steps on the
+    trace-norm objective, keeping the best iterate.
     """
-    from .separability import _project_simplex, _simplex_qp
+    from .separability import _min_norm_weights, _project_simplex
 
-    mats = [np.asarray(a, dtype=complex) for a in atoms]
-    k = len(mats)
-    basis = np.stack([m.reshape(-1) for m in mats])
-    gram = np.real(basis.conj() @ basis.T)
-    lin = np.real(basis.conj() @ rho.reshape(-1))
-    w = _simplex_qp(gram, lin, np.full(k, 1.0 / k))
+    basis = np.stack([np.asarray(a, dtype=complex).reshape(-1) for a in atoms])
+    w = _min_norm_weights(basis - rho.reshape(-1))
 
     def trace_dist(weights):
         sigma = np.tensordot(weights, basis, axes=(0, 0)).reshape(rho.shape)

@@ -12,7 +12,7 @@ all; it is an exact top eigenvalue of a one-sided twirl.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -346,15 +346,8 @@ def _atom_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _identity_atoms(da: int, db: int):
-    atoms = []
-    for i in range(da):
-        for j in range(db):
-            ea = np.zeros(da, dtype=complex)
-            eb = np.zeros(db, dtype=complex)
-            ea[i] = 1.0
-            eb[j] = 1.0
-            atoms.append((ea, eb))
-    return atoms
+    """The product basis: its uniform mixture is ``I / (da db)``."""
+    return [(ea, eb) for ea in np.eye(da, dtype=complex) for eb in np.eye(db, dtype=complex)]
 
 
 def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -399,6 +392,48 @@ def _golden_max(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> tupl
     return best[1], best[0]
 
 
+def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int, stop_gain: float) -> MixtureResult:
+    """Frank-Wolfe maximization of ``sigma -> F(matrix, sigma)`` over a hull.
+
+    Starts at the uniform mixture of ``atoms``, ``(label, atom_matrix)``
+    pairs; in round ``it`` the oracle ``lmo(grad, it)`` returns the pair
+    maximizing ``<grad, atom>``, mixed in by golden-section line search.
+    Converged once the linearized or the line-search gain is at most
+    ``stop_gain``.  The result's ``atoms`` are labels.
+    """
+    rho_sqrt = _sqrt_psd(matrix)
+    labels = [label for label, _ in atoms]
+    weights = [1.0 / len(atoms)] * len(atoms)
+    sigma = sum(atom for _, atom in atoms) / len(atoms)
+    value = fidelity(matrix, sigma)
+    it = 0
+    converged = False
+    for it in range(1, iters + 1):
+        grad = _fidelity_gradient(rho_sqrt, sigma)
+        label, atom = lmo(grad, it)
+        if float(np.real(np.trace(grad @ (atom - sigma)))) <= stop_gain:
+            converged = True
+            break
+        t_best, f_best = _golden_max(lambda t: fidelity(matrix, (1.0 - t) * sigma + t * atom))
+        if f_best <= value + stop_gain:
+            converged = True
+            break
+        sigma = (1.0 - t_best) * sigma + t_best * atom
+        weights = [w * (1.0 - t_best) for w in weights]
+        weights.append(t_best)
+        labels.append(label)
+        value = f_best
+    keep = [i for i, w in enumerate(weights) if w > 1e-15]
+    weights = np.array([weights[i] for i in keep])
+    return MixtureResult(
+        value=float(value),
+        atoms=tuple(labels[i] for i in keep),
+        weights=weights / weights.sum(),
+        iterations=it,
+        converged=converged,
+    )
+
+
 def max_fidelity_to_sep(
     rho: DensityMatrix,
     cut: BipartiteCut,
@@ -411,53 +446,21 @@ def max_fidelity_to_sep(
     separable set across ``cut``.
 
     The concave objective ``sigma -> F(rho, sigma)`` is maximized over the
-    separable hull: each step maximizes the gradient over pure products by
-    seesaw and mixes the new atom in by exact golden-section line search.
-    The returned mixture is separable by construction and re-evaluates to
-    the reported value.
+    separable hull from ``I/dim``: each step maximizes the gradient over
+    pure products by seesaw (seed ``seed + it`` in round ``it``) and mixes
+    the new atom in by exact golden-section line search.  The returned
+    mixture is separable by construction and re-evaluates to the reported
+    value.
     """
     matrix, da, db = _regroup(rho.op, cut)
-    rho_sqrt = _sqrt_psd(matrix)
-    dim = da * db
-    atoms = _identity_atoms(da, db)
-    weights = [1.0 / dim] * len(atoms)
-    sigma = np.eye(dim, dtype=complex) / dim
-    value = fidelity(matrix, sigma)
-    it = 0
-    converged = False
-    for it in range(1, iters + 1):
-        grad = _fidelity_gradient(rho_sqrt, sigma)
+
+    def lmo(grad, it):
         step = _seesaw_product_max(grad, da, db, restarts, 200, seed + it)
-        atom = _atom_matrix(step.a_vec, step.b_vec)
-        gain_dir = float(np.real(np.trace(grad @ (atom - sigma))))
-        if gain_dir <= stop_gain:
-            converged = True
-            break
+        return (step.a_vec, step.b_vec), _atom_matrix(step.a_vec, step.b_vec)
 
-        def f_line(t, atom=atom):
-            return fidelity(matrix, (1.0 - t) * sigma + t * atom)
-
-        t_best, f_best = _golden_max(f_line)
-        if f_best <= value + stop_gain:
-            converged = True
-            break
-        sigma = (1.0 - t_best) * sigma + t_best * atom
-        weights = [w * (1.0 - t_best) for w in weights]
-        weights.append(t_best)
-        atoms.append((step.a_vec, step.b_vec))
-        value = f_best
-    keep = [i for i, w in enumerate(weights) if w > 1e-15]
-    atoms = tuple(atoms[i] for i in keep)
-    weights = np.array([weights[i] for i in keep])
-    weights = weights / weights.sum()
-    return MixtureResult(
-        value=float(value),
-        atoms=atoms,
-        weights=weights,
-        iterations=it,
-        converged=converged,
-        extras={"da": da, "db": db},
-    )
+    start = [((a, b), _atom_matrix(a, b)) for a, b in _identity_atoms(da, db)]
+    res = _fw_fidelity(matrix, start, lmo, iters, stop_gain)
+    return replace(res, extras={"da": da, "db": db})
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -470,23 +473,52 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.clip(w - theta, 0.0, None)
 
 
-def _simplex_qp(gram: np.ndarray, lin: np.ndarray, w0: np.ndarray, iters: int = 800) -> np.ndarray:
-    """Minimize ``w'Gw/2 - lin'w`` over the probability simplex.
+def _min_norm_weights(points: np.ndarray) -> np.ndarray:
+    """Simplex weights ``w`` minimizing ``||w @ points||`` over the rows.
 
-    Accelerated projected gradient; ample for the small Gram systems built
-    from accumulated atoms.
+    Wolfe's minimum-norm-point method (Math. Programming 11, 1976): the
+    corral grows by the point least correlated with ``x = w @ points``;
+    its affine minimum-norm point is a least-squares solve on differences
+    (no Gram matrix, so repeated or affinely dependent points are fine),
+    stepping back and dropping points while an affine weight is not
+    positive.  Stops at ``min_j <p_j, x> >= ||x||^2 - 1e-14 max_j ||p_j||^2``
+    or when rounding stalls the descent.
     """
-    w = _project_simplex(w0.copy())
-    y = w.copy()
-    t = 1.0
-    lip = float(np.linalg.eigvalsh(gram)[-1]) + 1e-12
-    for _ in range(iters):
-        grad = gram @ y - lin
-        w_new = _project_simplex(y - grad / lip)
-        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        y = w_new + ((t - 1.0) / t_new) * (w_new - w)
-        w, t = w_new, t_new
-    return _project_simplex(w)
+    pts = np.concatenate([points.real, points.imag], axis=1) if np.iscomplexobj(points) else points
+    sq = (pts * pts).sum(axis=1)
+    tol = 1e-14 * max(float(sq.max()), 1e-300)
+    corral = [int(np.argmin(sq))]
+    lam = np.ones(1)
+    for _ in range(8 * len(pts) + 8):
+        x = lam @ pts[corral]
+        corr = pts @ x
+        norm2 = x @ x
+        j = int(np.argmin(corr))
+        if corr[j] >= norm2 - tol or j in corral:
+            break
+        prev = corral, lam
+        corral, lam = corral + [j], np.append(lam, 0.0)
+        while True:
+            base = pts[corral[0]]
+            rest = np.linalg.lstsq((pts[corral[1:]] - base).T, -base, rcond=None)[0]
+            mu = np.concatenate([[1.0 - rest.sum()], rest])
+            if (mu > 0).all():
+                lam = mu
+                break
+            neg = np.flatnonzero(mu <= 0)
+            ratios = lam[neg] / np.maximum(lam[neg] - mu[neg], 1e-300)
+            lam = lam + ratios.min() * (mu - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            stay = lam > 0
+            corral = [c for c, keep in zip(corral, stay) if keep]
+            lam = lam[stay] / lam[stay].sum()
+        x = lam @ pts[corral]
+        if x @ x >= norm2:
+            corral, lam = prev
+            break
+    weights = np.zeros(len(pts))
+    weights[corral] = lam
+    return weights
 
 
 def hs_distance_to_sep(
@@ -499,47 +531,36 @@ def hs_distance_to_sep(
 ) -> MixtureResult:
     """Gilbert-style upper bound on the 2-norm distance from the separable set.
 
-    Maintains a separable iterate as an explicit mixture; each round adds the
-    product state maximizing the correlation with the residual (seesaw
-    oracle) and fully re-optimizes the mixture weights on the accumulated
-    atoms, so the distance estimate is monotone non-increasing.
-    ``converged`` says whether the oracle's gain fell to ``stop_gap`` before
-    ``iters`` rounds ran out.
+    Maintains a separable iterate as an explicit mixture, starting at
+    ``I/dim``; each round adds the product state maximizing the correlation
+    with the residual (seesaw oracle) and re-solves the mixture weights on
+    the accumulated atoms exactly (``_min_norm_weights``), so the distance
+    estimate is monotone non-increasing.  ``converged`` says whether the
+    oracle's gain fell to ``stop_gap`` before ``iters`` rounds ran out.
     """
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
     atoms = _identity_atoms(da, db)
-    mats = [_atom_matrix(a, b) for a, b in atoms]
-    weights = np.full(len(atoms), 1.0 / len(atoms))
     target = matrix.reshape(-1)
-    vecs = [m.reshape(-1) for m in mats]
+    basis = np.stack([_atom_matrix(a, b).reshape(-1) for a, b in atoms])
+    weights = np.full(len(atoms), 1.0 / len(atoms))
     it = 0
     converged = False
     for it in range(1, iters + 1):
-        current = sum(w * v for w, v in zip(weights, vecs))
-        resid = (target - current).reshape(dim, dim)
-        step = _seesaw_product_max(resid, da, db, restarts, 200, seed + it)
-        atom = _atom_matrix(step.a_vec, step.b_vec)
-        gap = float(
-            np.real(np.vdot(resid.reshape(-1), atom.reshape(-1)))
-            - np.real(np.vdot(resid.reshape(-1), current))
-        )
-        if gap <= stop_gap:
+        current = weights @ basis
+        resid = target - current
+        step = _seesaw_product_max(resid.reshape(dim, dim), da, db, restarts, 200, seed + it)
+        atom = _atom_matrix(step.a_vec, step.b_vec).reshape(-1)
+        if float(np.real(np.vdot(resid, atom)) - np.real(np.vdot(resid, current))) <= stop_gap:
             converged = True
             break
         atoms.append((step.a_vec, step.b_vec))
-        vecs.append(atom.reshape(-1))
-        weights = np.append(weights * (1.0 - 1.0 / (it + 1.0)), 1.0 / (it + 1.0))
-        basis = np.stack(vecs)
-        gram = np.real(basis.conj() @ basis.T)
-        lin = np.real(basis.conj() @ target)
-        weights = _simplex_qp(gram, lin, weights)
-    current = sum(w * v for w, v in zip(weights, vecs))
-    dist = float(np.linalg.norm(target - current))
-    keep = [i for i, w in enumerate(weights) if w > 1e-15]
+        basis = np.vstack([basis, atom])
+        weights = _min_norm_weights(basis - target)
+    keep = weights > 1e-15
     return MixtureResult(
-        value=dist,
-        atoms=tuple(atoms[i] for i in keep),
+        value=float(np.linalg.norm(target - weights @ basis)),
+        atoms=tuple(a for a, k in zip(atoms, keep) if k),
         weights=weights[keep] / weights[keep].sum(),
         iterations=it,
         converged=converged,
@@ -626,14 +647,11 @@ def measured_fidelity_to_sep_upper(
         grad = (grad + grad.conj().T) / 2.0
         lmo_up = _product_lmo_upper(grad, da, db, lmo_q)
         gap = lmo_up - float(np.real(np.trace(grad @ sigma)))
-        if lower + gap < best_upper - 1e-10:
-            best_upper = min(best_upper, lower + gap)
-            stale = 0
-        else:
-            best_upper = min(best_upper, lower + gap)
-            stale += 1
-            if stale >= 40:
-                break
+        improved = lower + gap < best_upper - 1e-10
+        best_upper = min(best_upper, lower + gap)
+        stale = 0 if improved else stale + 1
+        if stale >= 40:
+            break
         step = _seesaw_product_max(grad, da, db, restarts, 80, seed + it)
         atom = _atom_matrix(step.a_vec, step.b_vec)
         q_atom = np.clip(np.real(elems_t_flat @ atom.reshape(-1)), 0.0, None)
@@ -692,7 +710,10 @@ def certificate_to_json(kind: str, op: HermitianOperator, cut: BipartiteCut, res
 def recheck_certificate(obj: dict, tol: float = 1e-8) -> tuple[float, float, bool]:
     """Re-evaluate a certificate's claimed value from its atoms alone.
 
-    Returns ``(claimed, recomputed, ok)``; no optimization is rerun.
+    Returns ``(claimed, recomputed, ok)``; no optimization is rerun.  Raises
+    ``ValueError`` for a malformed certificate: weights off the probability
+    simplex, or atoms that are not unit vectors of the cut's local sides
+    (a scaled atom would certify values no product state attains).
     """
     from .serialize import operator_from_json
 
@@ -704,6 +725,10 @@ def recheck_certificate(obj: dict, tol: float = 1e-8) -> tuple[float, float, boo
     for rec in obj["atoms"]:
         a = np.asarray(rec["a_re"], dtype=float) + 1j * np.asarray(rec["a_im"], dtype=float)
         b = np.asarray(rec["b_re"], dtype=float) + 1j * np.asarray(rec["b_im"], dtype=float)
+        if a.shape != (da,) or b.shape != (db,):
+            raise ValueError(f"malformed certificate atom: sizes {a.size}, {b.size} for cut sides {da}, {db}")
+        if abs(np.vdot(a, a).real - 1.0) > 1e-9 or abs(np.vdot(b, b).real - 1.0) > 1e-9:
+            raise ValueError("malformed certificate atom: not a unit vector")
         atoms.append((a, b))
     weights = np.asarray(obj["weights"], dtype=float)
     if weights.size != len(atoms) or (weights < -1e-12).any() or abs(weights.sum() - 1.0) > 1e-9:

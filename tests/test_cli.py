@@ -89,6 +89,24 @@ def test_hsep_and_certificate(tmp_path, singlet_file):
     assert code == 2
 
 
+def test_recheck_certificate_rejects_scaled_atom(tmp_path, singlet_file, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["hsep", "--op", singlet_file, "--restarts", "4", "--certificate-out", str(cert), "--out", str(tmp_path / "h.json")]) == 0
+    obj = json.loads(cert.read_text())
+    rec = obj["atoms"][0]
+    for part in ("a_re", "a_im"):
+        rec[part] = [2.0 * v for v in rec[part]]
+    # the value the scaled atom re-evaluates to: 4 * hsep(singlet) = 2
+    obj["value"] *= 4.0
+    cert.write_text(json.dumps(obj))
+    capsys.readouterr()
+    code = main(["recheck-certificate", str(cert), "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("definetti: malformed certificate") and err.count("\n") == 1
+    assert "unit vector" in err
+
+
 def test_hsep_interval(tmp_path, singlet_file):
     code, blob = run(tmp_path, "hsep", "--op", singlet_file, "--q-max", "3")
     assert code == 0

@@ -24,7 +24,6 @@ from definetti.operators import (
     symmetric_state_vector,
 )
 from definetti.reductions import (
-    _global_indices,
     check_classical_reduction,
     check_fixed_point_reduction,
     check_integrand_domination,
@@ -313,6 +312,29 @@ def test_truncated_reduction_configs():
     assert check_truncated_ambient_reduction(1, 1, 2, 3, seed=0).prefactor == expected == 24
 
 
+def loop_global_indices(comp, subset, d, d_perp, big_d, m):
+    """Basis indices of strings that are perp on ``comp`` and low on ``subset``,
+    comp digits the slow axis, by explicit digit arithmetic."""
+    strides = big_d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    comp_count = max(d_perp ** len(comp), 1)
+    sub_count = d ** len(subset)
+    rows = np.zeros(comp_count * sub_count, dtype=np.int64)
+    for ci in range(comp_count):
+        base = 0
+        rem = ci
+        for pos in reversed(comp):
+            base += (d + rem % d_perp) * strides[pos]
+            rem //= d_perp
+        for si in range(sub_count):
+            off = 0
+            rem2 = si
+            for pos in reversed(subset):
+                off += (rem2 % d) * strides[pos]
+                rem2 //= d
+            rows[ci * sub_count + si] = base + off
+    return rows
+
+
 def dense_truncated_rhs(theta, n, k, d, big_d):
     """The truncated right-hand side through the dense degree-2m projector."""
     m = n + k
@@ -328,7 +350,7 @@ def dense_truncated_rhs(theta, n, k, d, big_d):
             slicer = tuple(slice(d, big_d) for _ in comp) + tuple(slice(0, d) for _ in subset)
             block = view[slicer].reshape(max((big_d - d) ** len(comp), 1), dm)
             term = np.einsum("us,vt,tasb->uavb", block, block.conj(), q4)
-            rows = _global_indices(comp, subset, d, big_d - d, big_d, m)
+            rows = loop_global_indices(comp, subset, d, big_d - d, big_d, m)
             rhs[np.ix_(rows, rows)] += term.reshape(rows.size, rows.size)
     prefactor = sum(math.comb(m, q) for q in range(k + 1)) * math.comb(n + d - 1, n) ** 3
     return prefactor * (rhs + rhs.conj().T) / 2.0

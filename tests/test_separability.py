@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 
 import numpy as np
@@ -24,6 +26,7 @@ from definetti.operators import (
 from definetti.separability import (
     SEESAW_STOP,
     BipartiteCut,
+    _min_norm_weights,
     _random_unit,
     _seesaw_product_max,
     _top_eigpair,
@@ -350,6 +353,38 @@ def test_hs_distance_singlet_werner_oracle():
     assert abs(oracle - 1.0 / math.sqrt(3)) < 1e-6
     res = hs_distance_to_sep(SINGLET_DM, CUT, iters=200, seed=5)
     assert res.value <= oracle + 1e-6
+    # exact mixture weights every round: few rounds, at the closed form
+    assert res.converged and res.iterations <= 20
+    assert abs(res.value - 1.0 / math.sqrt(3)) <= 1e-12
+
+
+@given(
+    k=st.integers(1, 20),
+    dim=st.integers(1, 16),
+    complex_points=st.booleans(),
+    shape=st.sampled_from(["generic", "duplicates", "affine", "inside"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_min_norm_weights_simplex_and_optimal(k, dim, complex_points, shape, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((k, dim))
+    if complex_points:
+        pts = pts + 1j * rng.standard_normal((k, dim))
+    if shape == "duplicates":
+        pts = np.vstack([pts, pts[rng.integers(0, k, size=3)]])
+    elif shape == "affine":
+        mix = rng.random((3, k))
+        pts = np.vstack([pts, (mix / mix.sum(axis=1, keepdims=True)) @ pts])
+    elif shape == "inside":
+        # the target (the origin) is a convex combination of the points
+        c = rng.random(k)
+        pts = pts - (c / c.sum()) @ pts
+    w = _min_norm_weights(pts)
+    assert (w >= 0).all() and abs(w.sum() - 1.0) <= 1e-12
+    # optimality certificate of the minimum-norm point x over the hull
+    x = w @ pts
+    scale = float(np.max(np.sum(np.abs(pts) ** 2, axis=1)))
+    assert np.min(np.real(pts.conj() @ x)) >= np.vdot(x, x).real - 1e-12 * scale
 
 
 def test_hs_distance_triangle_sanity():
@@ -421,6 +456,83 @@ def test_certificate_roundtrip_and_tamper():
     cert = certificate_to_json("fidelity_mixture", SINGLET_DM.op, CUT, fw)
     claimed, recomputed, ok = recheck_certificate(cert)
     assert ok
+
+
+def scale_first_atom(cert, factor):
+    rec = cert["atoms"][0]
+    rec["a_re"] = [factor * v for v in rec["a_re"]]
+    rec["a_im"] = [factor * v for v in rec["a_im"]]
+
+
+@pytest.mark.parametrize("kind", ["hsep_seesaw", "fidelity_mixture", "hs_distance"])
+def test_recheck_rejects_non_unit_atoms(kind):
+    if kind == "hsep_seesaw":
+        res = hsep_seesaw(SINGLET, CUT, restarts=8, seed=10)
+    elif kind == "fidelity_mixture":
+        res = max_fidelity_to_sep(SINGLET_DM, CUT, iters=50, seed=10)
+    else:
+        res = hs_distance_to_sep(SINGLET_DM, CUT, iters=50, seed=10)
+    cert = certificate_to_json(kind, SINGLET, CUT, res)
+    assert recheck_certificate(cert)[2]
+    scale_first_atom(cert, 2.0)
+    if kind == "hsep_seesaw":
+        # the scaled atom re-evaluates to 4 * hsep(singlet) = 2, above any
+        # product-state value; claiming exactly that must still be refused
+        cert["value"] = 4.0 * res.value
+    with pytest.raises(ValueError, match="unit vector"):
+        recheck_certificate(cert)
+
+
+@functools.cache
+def mixture_certificates():
+    """One ``fidelity_mixture`` and one ``hs_distance`` certificate for a
+    random state on 2 x 3 (unequal sides, so swapping the cut changes the
+    atom sizes it implies)."""
+    rho = induced_mixed_state((2, 3), 31)
+    fw = max_fidelity_to_sep(rho, CUT, iters=20, seed=3, restarts=4)
+    gilbert = hs_distance_to_sep(rho, CUT, iters=20, seed=3, restarts=4)
+    return {
+        "fidelity_mixture": json.dumps(certificate_to_json("fidelity_mixture", rho.op, CUT, fw)),
+        "hs_distance": json.dumps(certificate_to_json("hs_distance", rho.op, CUT, gilbert)),
+    }
+
+
+def test_mixture_certificates_recheck():
+    for blob in mixture_certificates().values():
+        claimed, recomputed, ok = recheck_certificate(json.loads(blob))
+        assert ok and abs(claimed - recomputed) <= 1e-12
+        swapped = json.loads(blob)
+        swapped["cut"] = {"a": [1], "b": [0]}
+        with pytest.raises(ValueError, match="sizes 2, 3 for cut sides 3, 2"):
+            recheck_certificate(swapped)
+
+
+@given(
+    kind=st.sampled_from(["fidelity_mixture", "hs_distance"]),
+    field=st.sampled_from(["value", "weight", "atom", "cut"]),
+    index=st.integers(0, 2**16),
+    part=st.sampled_from(["a_re", "a_im", "b_re", "b_im"]),
+    delta=st.floats(1e-3, 0.5),
+    sign=st.sampled_from([-1.0, 1.0]),
+    cut=st.sampled_from([{"a": [1], "b": [0]}, {"a": [0], "b": [0]}, {"a": [0, 1], "b": []}]),
+)
+def test_recheck_rejects_single_field_mutation(kind, field, index, part, delta, sign, cut):
+    cert = json.loads(mixture_certificates()[kind])
+    delta *= sign
+    if field == "value":
+        cert["value"] += delta
+    elif field == "weight":
+        cert["weights"][index % len(cert["weights"])] += delta
+    elif field == "atom":
+        entries = cert["atoms"][index % len(cert["atoms"])][part]
+        entries[index % len(entries)] += delta
+    else:
+        cert["cut"] = cut
+    try:
+        ok = recheck_certificate(cert)[2]
+    except ValueError:
+        ok = False
+    assert not ok
 
 
 def test_cut_validation():
