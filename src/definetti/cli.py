@@ -17,7 +17,7 @@ import sys
 
 from . import suites
 from .operators import ResourceCapError, max_side, set_max_side
-from .separability import BipartiteCut, certificate_to_json, hsep_seesaw, recheck_certificate
+from .separability import RECHECK_TOL, BipartiteCut, certificate_to_json, recheck_certificate
 from .serialize import load_operator
 
 EXIT_OK = 0
@@ -273,7 +273,7 @@ def _dispatch(args, seed: int) -> int:
                 seed,
                 value=recomputed,
                 bound=claimed,
-                tolerance=1e-8,
+                tolerance=RECHECK_TOL,
                 passed=ok,
             )
         ]

@@ -65,8 +65,13 @@ def fidelity(rho, sigma) -> float:
     s = _matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    sr = _sqrtm_psd(r)
-    inner = sr @ s @ sr
+    return _fidelity_from_root(_sqrtm_psd(r), s)
+
+
+def _fidelity_from_root(root: np.ndarray, sigma: np.ndarray) -> float:
+    """``fidelity(rho, sigma)`` given ``root = _sqrtm_psd(rho)``, for callers
+    that hold ``rho`` fixed over many ``sigma``."""
+    inner = root @ sigma @ root
     w, _ = _clipped_eigh((inner + inner.conj().T) / 2.0)
     return float(np.sqrt(w).sum())
 

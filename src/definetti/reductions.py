@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import fidelity
+from .measures import _fidelity_from_root, _sqrtm_psd
 from .operators import (
     DensityMatrix,
     Dims,
@@ -49,10 +49,15 @@ __all__ = [
     "check_classical_reduction",
     "truncated_symmetric_state_vector",
     "check_truncated_ambient_reduction",
-    "DEFAULT_GAP_TOL",
+    "GAP_TOL",
 ]
 
-DEFAULT_GAP_TOL = 1e-9
+# every PSD and per-sample check passes at margin >= -GAP_TOL, except the
+# classical pointwise check, which decides at 1e-12
+GAP_TOL = 1e-9
+# the channel preconditions of the integrand and fixed-point checks hold
+# when the Frobenius defect is at most this
+PRECONDITION_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 
 
@@ -66,7 +71,7 @@ class ReductionCheck:
     prefactor: int
     passed: bool
     params: dict
-    tolerance: float = DEFAULT_GAP_TOL
+    tolerance: float
     extras: dict = field(default_factory=dict)
 
 
@@ -96,7 +101,7 @@ class ClassicalReductionCheck:
     tolerance: float
 
 
-def check_pinching(ops, rho: DensityMatrix, tol: float = DEFAULT_GAP_TOL) -> ReductionCheck:
+def check_pinching(ops, rho: DensityMatrix) -> ReductionCheck:
     """Verify ``sum_ij M_i rho M_j^dag <= r sum_i M_i rho M_i^dag``.
 
     The operators need not be Hermitian; the gap is the minimum eigenvalue
@@ -119,9 +124,9 @@ def check_pinching(ops, rho: DensityMatrix, tol: float = DEFAULT_GAP_TOL) -> Red
         rhs=HermitianOperator(r * diag, rho.dims),
         gap_min_eig=gap,
         prefactor=r,
-        passed=gap >= -tol,
+        passed=gap >= -GAP_TOL,
         params={"r": r, "side": side},
-        tolerance=tol,
+        tolerance=GAP_TOL,
     )
 
 
@@ -200,7 +205,7 @@ def monte_carlo_constrained_moment(
     return mean, stderr
 
 
-def check_pure_reduction(theta, n: int, d: int, tol: float = DEFAULT_GAP_TOL, params=None) -> ReductionCheck:
+def check_pure_reduction(theta, n: int, d: int) -> ReductionCheck:
     """PSD check of the pure-state constrained reduction on ``C^d``."""
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     moment = constrained_moment(theta, n, d)
@@ -208,26 +213,18 @@ def check_pure_reduction(theta, n: int, d: int, tol: float = DEFAULT_GAP_TOL, pa
     rhs = HermitianOperator(prefactor * moment.matrix, moment.dims)
     lhs = HermitianOperator(np.outer(theta, theta.conj()), moment.dims)
     gap = min_eigenvalue(rhs.matrix - lhs.matrix)
-    all_params = {"n": n, "d": d}
-    all_params.update(params or {})
     return ReductionCheck(
         lhs=lhs,
         rhs=rhs,
         gap_min_eig=gap,
         prefactor=prefactor,
-        passed=gap >= -tol,
-        params=all_params,
-        tolerance=tol,
+        passed=gap >= -GAP_TOL,
+        params={"n": n, "d": d},
+        tolerance=GAP_TOL,
     )
 
 
-def check_mixed_reduction(
-    n: int,
-    d: int,
-    seed: int,
-    samples: int = 100,
-    tol: float = DEFAULT_GAP_TOL,
-) -> ReductionCheck:
+def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> ReductionCheck:
     """PSD check of the mixed-state constrained reduction.
 
     Draws a random symmetric purification on ``(H (x) H')^{(x) n}`` with
@@ -247,6 +244,7 @@ def check_mixed_reduction(
     rhs = HermitianOperator(prefactor * reduced.matrix, reduced.dims)
     gap = min_eigenvalue(rhs.matrix - rho.matrix)
 
+    rho_root = _sqrtm_psd(rho.matrix)
     margins = np.empty(samples)
     for j in range(samples):
         psi = haar_state_vector(d2, seed, "mixed-fid", j)
@@ -255,17 +253,17 @@ def check_mixed_reduction(
             v = np.kron(v, psi)
         overlap = abs(np.vdot(theta, v))
         sigma = partial_trace_vector(psi, Dims((d, d)), [0])
-        margins[j] = fidelity(rho, tensor_power(sigma, n)) - overlap
-    fid_ok = bool(margins.min() >= -tol)
+        margins[j] = _fidelity_from_root(rho_root, tensor_power(sigma, n).matrix) - overlap
+    fid_ok = bool(margins.min() >= -GAP_TOL)
 
     return ReductionCheck(
         lhs=rho,
         rhs=rhs,
         gap_min_eig=gap,
         prefactor=prefactor,
-        passed=bool(gap >= -tol) and fid_ok,
+        passed=bool(gap >= -GAP_TOL) and fid_ok,
         params={"n": n, "d": d, "seed": seed, "samples": samples},
-        tolerance=tol,
+        tolerance=GAP_TOL,
         extras={"fidelity_domination_min_margin": float(margins.min())},
     )
 
@@ -286,8 +284,6 @@ def check_integrand_domination(
     samples: int = 100,
     delta: float = 0.1,
     seed: int = 0,
-    tol: float = DEFAULT_GAP_TOL,
-    precondition_tol: float = 1e-8,
 ) -> SampledCheck:
     """Pointwise step of the product-image reduction.
 
@@ -300,24 +296,26 @@ def check_integrand_domination(
     mapped = channel_on_factors(ch, rho.op, range(n))
     target = tensor_power(tau0.op, n)
     defect = float(np.linalg.norm(mapped.matrix - target.matrix))
-    if defect > precondition_tol:
+    if defect > PRECONDITION_TOL:
         raise ValueError(f"channel power of the state is not the target power: {defect:.3e}")
     d = ch.in_dims.size
+    rho_root = _sqrtm_psd(rho.matrix)
+    tau0_root = _sqrtm_psd(tau0.matrix)
     margins = np.empty(samples)
     near = 0
     for j in range(samples):
         sigma = induced_mixed_state((d,), seed, "domination", j)
-        lhs = fidelity(rho, tensor_power(sigma.op, n)) ** 2
-        f_single = fidelity(tau0, channel_on_factors(ch, sigma.op, [0]))
+        lhs = _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix) ** 2
+        f_single = _fidelity_from_root(tau0_root, channel_on_factors(ch, sigma.op, [0]).matrix)
         margins[j] = f_single ** (2 * n) - lhs
         if f_single >= 1.0 - delta:
             near += 1
     return SampledCheck(
         margins=margins,
         min_margin=float(margins.min()),
-        passed=bool(margins.min() >= -tol),
+        passed=bool(margins.min() >= -GAP_TOL),
         params={"n": n, "d": d, "seed": seed, "samples": samples, "delta": delta},
-        tolerance=tol,
+        tolerance=GAP_TOL,
         extras={"mass_in_kdelta": near / samples, "mass_out_kdelta": 1.0 - near / samples},
     )
 
@@ -327,8 +325,6 @@ def check_fixed_point_reduction(
     ch: KrausChannel,
     samples: int = 100,
     seed: int = 0,
-    tol: float = DEFAULT_GAP_TOL,
-    precondition_tol: float = 1e-8,
 ) -> SampledCheck:
     """Monotonicity step of the fixed-point reduction.
 
@@ -338,22 +334,22 @@ def check_fixed_point_reduction(
     n = _copies_of(rho, ch)
     mapped = channel_on_factors(ch, rho.op, range(n))
     defect = float(np.linalg.norm(mapped.matrix - rho.matrix))
-    if defect > precondition_tol:
+    if defect > PRECONDITION_TOL:
         raise ValueError(f"state is not a fixed point of the channel power: {defect:.3e}")
     d = ch.in_dims.size
+    rho_root = _sqrtm_psd(rho.matrix)
     margins = np.empty(samples)
     for j in range(samples):
         sigma = induced_mixed_state((d,), seed, "fixed-point", j)
         mapped_sigma = channel_on_factors(ch, sigma.op, [0])
-        margins[j] = fidelity(rho, tensor_power(mapped_sigma, n)) - fidelity(
-            rho, tensor_power(sigma.op, n)
-        )
+        after = _fidelity_from_root(rho_root, tensor_power(mapped_sigma, n).matrix)
+        margins[j] = after - _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix)
     return SampledCheck(
         margins=margins,
         min_margin=float(margins.min()),
-        passed=bool(margins.min() >= -tol),
+        passed=bool(margins.min() >= -GAP_TOL),
         params={"n": n, "d": d, "seed": seed, "samples": samples},
-        tolerance=tol,
+        tolerance=GAP_TOL,
     )
 
 
@@ -367,9 +363,7 @@ def _classical_vector(weights: np.ndarray, d: int, n: int) -> np.ndarray:
     return vec
 
 
-def check_classical_reduction(
-    weights, d: int, n: int, tol: float = 1e-12
-) -> ClassicalReductionCheck:
+def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionCheck:
     """Exact pointwise reduction for a permutation-symmetric distribution.
 
     The distribution is embedded as a diagonal state, its canonical symmetric
@@ -398,6 +392,7 @@ def check_classical_reduction(
     dephased = channel_on_factors(qc_dephasing_channel(d), reduced, range(n))
     rhs_diag = prefactor * dephased.matrix.diagonal().real
     slack = rhs_diag - w
+    tol = 1e-12
     return ClassicalReductionCheck(
         weights=w,
         rhs_diag=rhs_diag,
@@ -447,7 +442,6 @@ def check_truncated_ambient_reduction(
     d: int,
     big_d: int,
     seed: int,
-    tol: float = DEFAULT_GAP_TOL,
     theta: np.ndarray | None = None,
 ) -> ReductionCheck:
     """PSD check of the truncated-ambient reduction on a finite ambient space.
@@ -496,7 +490,7 @@ def check_truncated_ambient_reduction(
         rhs=HermitianOperator(rhs, dims),
         gap_min_eig=gap,
         prefactor=prefactor,
-        passed=bool(gap >= -tol),
+        passed=bool(gap >= -GAP_TOL),
         params={"n": n, "k": k, "d": d, "D": big_d, "seed": seed},
-        tolerance=tol,
+        tolerance=GAP_TOL,
     )

@@ -20,7 +20,6 @@ import numpy as np
 
 from .measures import (
     conditional_mutual_information,
-    fidelity,
     mutual_information,
     relative_entropy,
 )
@@ -69,6 +68,13 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# slack allowed on the relative-entropy and CMI chain steps against log2(1/p)
+BUDGET_TOL = 1e-9
+# slack of the scalar recursion lemma: on its hypothesis and on its conclusion
+RECURSION_TOL = 1e-12
+# slack of the conditioning demo's per-step surrogate and final q-extendible
+# bound; the conditioning suite reports it as each record's tolerance
+CONDITIONING_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +200,7 @@ class PostMeasurementResult:
     passed: bool
 
 
-def post_measurement_update(
-    rho_uv: DensityMatrix, t_on_u: HermitianOperator, tol: float = 1e-9
-) -> PostMeasurementResult:
+def post_measurement_update(rho_uv: DensityMatrix, t_on_u: HermitianOperator) -> PostMeasurementResult:
     """Condition on the first outcome of ``(T, 1-T)`` measured on the U part.
 
     U is the leading factor group matching ``t_on_u``; the remaining factors
@@ -237,7 +241,7 @@ def post_measurement_update(
         relent=relent,
         budget=budget,
         kraus_defect=kraus_defect,
-        passed=bool(relent <= budget + tol and kraus_defect <= 1e-9),
+        passed=bool(relent <= budget + BUDGET_TOL and kraus_defect <= 1e-9),
     )
 
 
@@ -287,7 +291,6 @@ def cmi_chain_check(
     alpha: DensityMatrix,
     beta: DensityMatrix,
     k: int,
-    tol: float = 1e-9,
 ) -> CmiChainReport:
     """Computable chain behind the squashed-entanglement budget bound.
 
@@ -297,9 +300,9 @@ def cmi_chain_check(
     information, which is below the relative entropy to the product of the
     untouched marginals, which is below ``log2(1/p_k)``.
     """
-    da, db = m.dims.factors if len(m.dims) == 2 else (m.dims.size, None)
     if len(m.dims) != 2:
         raise ValueError("measurement must have two factors (A, B)")
+    da, db = m.dims.factors
     n = len(alpha.dims)
     if len(beta.dims) != n or not 1 <= k <= n - 1:
         raise ValueError("need states on n copies each and 1 <= k <= n-1")
@@ -330,9 +333,9 @@ def cmi_chain_check(
     relent = relative_entropy(tau, np.kron(alpha_rest.matrix, beta_rest.matrix))
     budget = math.log2(1.0 / p_k)
     passed = (
-        chain_sum <= joint_mi + tol
-        and joint_mi <= relent + tol
-        and relent <= budget + tol
+        chain_sum <= joint_mi + BUDGET_TOL
+        and joint_mi <= relent + BUDGET_TOL
+        and relent <= budget + BUDGET_TOL
     )
     return CmiChainReport(
         p_k=p_k,
@@ -360,8 +363,7 @@ class RecursionVerdict:
     params: dict
 
 
-def _validate_recursion_hypothesis(p_seq, nu, c, tol):
-    p = [float(x) for x in p_seq]
+def _validate_recursion_hypothesis(p: list, nu, c):
     n = len(p)
     if n < 1:
         return None, ()
@@ -373,14 +375,27 @@ def _validate_recursion_hypothesis(p_seq, nu, c, tol):
     for i in range(n - 1):
         allowed = p[i] * (math.sqrt(c / (n - (i + 1)) * math.log2(1.0 / p[i])) + nu)
         residuals.append(allowed - p[i + 1])
-        if p[i + 1] > allowed + tol:
+        if p[i + 1] > allowed + RECURSION_TOL:
             return None, tuple(residuals)
     return p, tuple(residuals)
 
 
-def scalar_recursion_bound(
-    p_seq, nu: float, c: float, gamma: float, tol: float = 1e-12
-) -> RecursionVerdict:
+def _recursion_setup(p_seq, nu: float, c: float, gamma: float):
+    """Shared preamble of the scalar recursion checks: ``(p, residuals, base,
+    k0, params)``, with ``p`` None unless the hypothesis holds and
+    ``p_1 <= nu + gamma``.  ``p_seq`` is read exactly once, so iterators
+    work."""
+    p_list = [float(x) for x in p_seq]
+    n = len(p_list)
+    base = nu + gamma
+    k0 = gamma**2 * (n + 1) / (c * math.log2(1.0 / base) + gamma**2)
+    p, residuals = _validate_recursion_hypothesis(p_list, nu, c)
+    if p is not None and p[0] > base + RECURSION_TOL:
+        p = None
+    return p, residuals, base, k0, {"nu": nu, "c": c, "gamma": gamma, "n": n}
+
+
+def scalar_recursion_bound(p_seq, nu: float, c: float, gamma: float) -> RecursionVerdict:
     """Verify the geometric-cap conclusion of the scalar recursion lemma.
 
     The recursion hypothesis is validated, never assumed; a sequence failing
@@ -390,18 +405,15 @@ def scalar_recursion_bound(
     """
     if not (0.0 < nu < 1.0 and c > 0.0 and 0.0 < gamma < 1.0 - nu):
         raise ValueError("need 0 < nu < 1, c > 0, 0 < gamma < 1 - nu")
-    p, residuals = _validate_recursion_hypothesis(p_seq, nu, c, tol)
-    n = len(list(p_seq))
-    base = nu + gamma
-    k0 = gamma**2 * (n + 1) / (c * math.log2(1.0 / base) + gamma**2)
-    if p is None or p[0] > base + tol:
-        return RecursionVerdict(False, False, k0, (), residuals, {"nu": nu, "c": c, "gamma": gamma, "n": n})
-    margins = tuple(base ** min(k, k0) - p[k - 1] for k in range(1, n + 1))
-    holds = all(mg >= -tol for mg in margins)
-    return RecursionVerdict(True, bool(holds), k0, margins, residuals, {"nu": nu, "c": c, "gamma": gamma, "n": n})
+    p, residuals, base, k0, params = _recursion_setup(p_seq, nu, c, gamma)
+    if p is None:
+        return RecursionVerdict(False, False, k0, (), residuals, params)
+    margins = tuple(base ** min(k, k0) - p[k - 1] for k in range(1, len(p) + 1))
+    holds = all(mg >= -RECURSION_TOL for mg in margins)
+    return RecursionVerdict(True, bool(holds), k0, margins, residuals, params)
 
 
-def scalar_recursion_corollary(p_seq, nu: float, c: float, tol: float = 1e-12) -> RecursionVerdict:
+def scalar_recursion_corollary(p_seq, nu: float, c: float) -> RecursionVerdict:
     """Verify the corollary form ``p_n <= (1 - (1-nu)^2 / (8c))^n``.
 
     This is the lemma at ``gamma = (1-nu)/2``; the extra hypothesis is
@@ -409,17 +421,12 @@ def scalar_recursion_corollary(p_seq, nu: float, c: float, tol: float = 1e-12) -
     """
     if not (0.0 < nu < 1.0 and c > 0.0):
         raise ValueError("need 0 < nu < 1 and c > 0")
-    gamma = (1.0 - nu) / 2.0
-    p, residuals = _validate_recursion_hypothesis(p_seq, nu, c, tol)
-    n = len(list(p_seq))
-    base = nu + gamma
-    k0 = gamma**2 * (n + 1) / (c * math.log2(1.0 / base) + gamma**2)
-    params = {"nu": nu, "c": c, "gamma": gamma, "n": n}
-    if p is None or p[0] > base + tol:
+    p, residuals, _, k0, params = _recursion_setup(p_seq, nu, c, (1.0 - nu) / 2.0)
+    if p is None:
         return RecursionVerdict(False, False, k0, (), residuals, params)
-    bound = (1.0 - (1.0 - nu) ** 2 / (8.0 * c)) ** n
+    bound = (1.0 - (1.0 - nu) ** 2 / (8.0 * c)) ** len(p)
     margin = bound - p[-1]
-    return RecursionVerdict(True, bool(margin >= -tol), k0, (margin,), residuals, params)
+    return RecursionVerdict(True, bool(margin >= -RECURSION_TOL), k0, (margin,), residuals, params)
 
 
 def sample_admissible_sequence(n: int, nu: float, c: float, gamma: float, rng) -> list:
@@ -474,7 +481,6 @@ def recursive_conditioning_demo(
     q: int = 2,
     selection: str = "greedy_min_mi",
     seed: int = 0,
-    tol: float = 1e-8,
 ) -> ConditioningTrajectory:
     """Run the measurement-conditioning chain on a product input state.
 
@@ -517,7 +523,7 @@ def recursive_conditioning_demo(
         chosen = remaining[t_choice]
         surrogate = surrogates[t_choice]
         averaged_bound = math.log2(1.0 / p_prev) / (2.0 * r) if p_prev < 1.0 else 0.0
-        if selection == "greedy_min_mi" and surrogate > averaged_bound + tol:
+        if selection == "greedy_min_mi" and surrogate > averaged_bound + CONDITIONING_TOL:
             per_step_ok = False
 
         meas = measurement_on_pairs(m, r, [t_choice])
@@ -569,7 +575,7 @@ def recursive_conditioning_demo(
         per_step_ok=per_step_ok,
         ratio_defect=ratio_defect,
         final_bound=final_bound,
-        passed_final=bool(final_p <= final_bound + tol),
+        passed_final=bool(final_p <= final_bound + CONDITIONING_TOL),
     )
 
 
@@ -583,18 +589,10 @@ class ConstraintFamily:
     trace, generated by atoms (finite list) or by oracles (separable set)."""
 
     name: str
-    dim: int
     atoms: tuple | None
-    support_oracle: object
-    fidelity_oracle: object
+    support: object
     decay_f: object
     threshold_decay: object
-
-    def support(self, m: np.ndarray) -> float:
-        return self.support_oracle(m)
-
-    def fidelity_to(self, rho: np.ndarray) -> float:
-        return self.fidelity_oracle(rho)
 
     def product_atoms(self, n: int):
         if self.atoms is None:
@@ -606,7 +604,7 @@ class ConstraintFamily:
             yield block
 
 
-def _fw_fidelity_hull(rho: np.ndarray, atoms, iters: int = 400, stop_gain: float = 1e-12) -> float:
+def _fw_fidelity_hull(rho: np.ndarray, atoms) -> float:
     """Frank-Wolfe maximization of fidelity over a finite-atom hull."""
     from .separability import _fw_fidelity
 
@@ -617,35 +615,29 @@ def _fw_fidelity_hull(rho: np.ndarray, atoms, iters: int = 400, stop_gain: float
         j = int(np.argmax(scores))
         return j, atoms[j]
 
-    return _fw_fidelity(rho, list(enumerate(atoms)), lmo, iters, stop_gain).value
+    return _fw_fidelity(rho, list(enumerate(atoms)), lmo, 400).value
 
 
 def projective_power_family(atoms, name: str = "projective-power") -> ConstraintFamily:
     """Hull of n-fold tensor products of a fixed set of single-copy states."""
     mats = tuple(np.asarray(a.matrix if hasattr(a, "matrix") else a, dtype=complex) for a in atoms)
-    dim = mats[0].shape[0]
 
     def support(m: np.ndarray) -> float:
         return max(float(np.real(np.trace(m @ a))) for a in mats)
 
-    def fid(rho: np.ndarray) -> float:
-        return _fw_fidelity_hull(rho, mats)
-
     return ConstraintFamily(
         name=name,
-        dim=dim,
         atoms=mats,
-        support_oracle=support,
-        fidelity_oracle=fid,
+        support=support,
         decay_f=lambda eps: eps**2 / 4.0,
-        threshold_decay=lambda alpha, d=dim: 2.0 * alpha**2,
+        threshold_decay=lambda alpha: 2.0 * alpha**2,
     )
 
 
 def separable_family(dims, cut: BipartiteCut, seed: int = 0, name: str = "separable") -> ConstraintFamily:
-    """Separable states across ``cut``; oracles are seesaw / Frank-Wolfe."""
-    from .separability import hsep_seesaw, max_fidelity_to_sep
-    from .operators import as_dims, density, hermitian
+    """Separable states across ``cut``; the support oracle is the seesaw."""
+    from .separability import hsep_seesaw
+    from .operators import as_dims, hermitian
 
     dims = as_dims(dims)
     da = math.prod(dims[i] for i in cut.a_factors)
@@ -655,17 +647,12 @@ def separable_family(dims, cut: BipartiteCut, seed: int = 0, name: str = "separa
     def support(m: np.ndarray) -> float:
         return hsep_seesaw(hermitian(m, dims), cut, seed=seed).value
 
-    def fid(rho: np.ndarray) -> float:
-        return max_fidelity_to_sep(density(rho, dims), cut, seed=seed).value
-
     return ConstraintFamily(
         name=name,
-        dim=dims.size,
         atoms=None,
-        support_oracle=support,
-        fidelity_oracle=fid,
+        support=support,
         decay_f=lambda eps: eps**2 / 4.0,
-        threshold_decay=lambda alpha, d=d_loc: alpha**2 / (5.0 * d * d),
+        threshold_decay=lambda alpha: alpha**2 / (5.0 * d_loc * d_loc),
     )
 
 
@@ -876,7 +863,6 @@ def framework_fidelity_from_decay(
     rho: DensityMatrix,
     n: int,
     alpha: float | None = None,
-    subgradient_iters: int = 800,
 ) -> FrameworkFidelityReport:
     """Binary-test construction bounding the fidelity of ``rho^n`` to ``K^(n)``.
 
@@ -888,7 +874,7 @@ def framework_fidelity_from_decay(
     """
     if family.atoms is None:
         raise ValueError("needs a finite-atom family")
-    closest = _closest_hull_trace_norm(rho.matrix, family.atoms, subgradient_iters)
+    closest = _closest_hull_trace_norm(rho.matrix, family.atoms)
     diff = rho.matrix - closest
     w, v = np.linalg.eigh(diff)
     dist = float(np.abs(w).sum() / 2.0)
@@ -950,20 +936,17 @@ def _closest_hull_trace_norm(rho: np.ndarray, atoms, iters: int = 800) -> np.nda
 
     basis = np.stack([np.asarray(a, dtype=complex).reshape(-1) for a in atoms])
     w = _min_norm_weights(basis - rho.reshape(-1))
-
-    def trace_dist(weights):
-        sigma = np.tensordot(weights, basis, axes=(0, 0)).reshape(rho.shape)
-        return float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum() / 2.0), sigma
-
-    best_val, best_sigma = trace_dist(w)
-    step0 = 0.1
-    for it in range(1, iters + 1):
-        sigma = np.tensordot(w, basis, axes=(0, 0)).reshape(rho.shape)
+    best_val, best_sigma = math.inf, None
+    for it in range(iters + 1):
+        sigma = (w @ basis).reshape(rho.shape)
+        # one eigh per iterate: its trace distance and its subgradient
         wv, vv = np.linalg.eigh(rho - sigma)
+        val = float(np.abs(wv).sum() / 2.0)
+        if val < best_val:
+            best_val, best_sigma = val, sigma
+        if it == iters:
+            break
         sign = (vv * np.sign(wv)) @ vv.conj().T
         grad = np.real(basis.conj() @ (-sign).reshape(-1)) / 2.0
-        w = _project_simplex(w - (step0 / math.sqrt(it)) * grad)
-        val, sig = trace_dist(w)
-        if val < best_val:
-            best_val, best_sigma = val, sig
+        w = _project_simplex(w - (0.1 / math.sqrt(it + 1)) * grad)
     return best_sigma

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .measures import Povm, classical_fidelity, fidelity, outcome_distribution
+from .measures import Povm, _fidelity_from_root, _sqrtm_psd, classical_fidelity, fidelity, outcome_distribution
 from .operators import (
     DensityMatrix,
     Dims,
@@ -48,7 +48,14 @@ __all__ = [
 ]
 
 CONTRACTION_TOL = 1e-10
+# a seesaw start stops once its value gains less than SEESAW_STOP, and after
+# SEESAW_MAX_ITERS iterations in any case (the measured bound's oracle runs 80)
 SEESAW_STOP = 1e-12
+SEESAW_MAX_ITERS = 200
+# Frank-Wolfe fidelity maximization stops once a round gains at most this
+FW_STOP = 1e-12
+# recheck_certificate accepts a recomputed value within this of the claim
+RECHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -250,7 +257,6 @@ def hsep_seesaw(
     m: HermitianOperator,
     cut: BipartiteCut,
     restarts: int = 32,
-    max_iters: int = 200,
     seed: int = 0,
     initial_points=(),
 ) -> SeesawResult:
@@ -264,7 +270,7 @@ def hsep_seesaw(
     """
     matrix, da, db = _regroup(m, cut)
     _require_contraction(matrix)
-    return _seesaw_product_max(matrix, da, db, restarts, max_iters, seed, initial_points)
+    return _seesaw_product_max(matrix, da, db, restarts, SEESAW_MAX_ITERS, seed, initial_points)
 
 
 def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
@@ -300,7 +306,6 @@ def hsep_certified_interval(
     cut: BipartiteCut,
     q_max: int = 3,
     restarts: int = 32,
-    max_iters: int = 200,
     seed: int = 0,
 ) -> CertifiedInterval:
     """Two-sided bracket of the separability support function.
@@ -310,7 +315,7 @@ def hsep_certified_interval(
     is the certified test slack; ``delta_extension_distance`` applies the extendibility
     distance bound ``2 d^2 / q`` to the lower end as looser metadata.
     """
-    seesaw = hsep_seesaw(m, cut, restarts=restarts, max_iters=max_iters, seed=seed)
+    seesaw = hsep_seesaw(m, cut, restarts=restarts, seed=seed)
     return _interval_from_seesaw(m, cut, q_max, seesaw)
 
 
@@ -350,12 +355,6 @@ def _identity_atoms(da: int, db: int):
     return [(ea, eb) for ea in np.eye(da, dtype=complex) for eb in np.eye(db, dtype=complex)]
 
 
-def _sqrt_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(mat)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
 def _fidelity_gradient(rho_sqrt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Derivative of ``sigma -> F(rho, sigma)``; PSD Hermitian.
 
@@ -392,30 +391,30 @@ def _golden_max(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> tupl
     return best[1], best[0]
 
 
-def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int, stop_gain: float) -> MixtureResult:
+def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
     """Frank-Wolfe maximization of ``sigma -> F(matrix, sigma)`` over a hull.
 
     Starts at the uniform mixture of ``atoms``, ``(label, atom_matrix)``
     pairs; in round ``it`` the oracle ``lmo(grad, it)`` returns the pair
     maximizing ``<grad, atom>``, mixed in by golden-section line search.
     Converged once the linearized or the line-search gain is at most
-    ``stop_gain``.  The result's ``atoms`` are labels.
+    ``FW_STOP``.  The result's ``atoms`` are labels.
     """
-    rho_sqrt = _sqrt_psd(matrix)
+    rho_sqrt = _sqrtm_psd(matrix)
     labels = [label for label, _ in atoms]
     weights = [1.0 / len(atoms)] * len(atoms)
     sigma = sum(atom for _, atom in atoms) / len(atoms)
-    value = fidelity(matrix, sigma)
+    value = _fidelity_from_root(rho_sqrt, sigma)
     it = 0
     converged = False
     for it in range(1, iters + 1):
         grad = _fidelity_gradient(rho_sqrt, sigma)
         label, atom = lmo(grad, it)
-        if float(np.real(np.trace(grad @ (atom - sigma)))) <= stop_gain:
+        if float(np.real(np.trace(grad @ (atom - sigma)))) <= FW_STOP:
             converged = True
             break
-        t_best, f_best = _golden_max(lambda t: fidelity(matrix, (1.0 - t) * sigma + t * atom))
-        if f_best <= value + stop_gain:
+        t_best, f_best = _golden_max(lambda t: _fidelity_from_root(rho_sqrt, (1.0 - t) * sigma + t * atom))
+        if f_best <= value + FW_STOP:
             converged = True
             break
         sigma = (1.0 - t_best) * sigma + t_best * atom
@@ -440,7 +439,6 @@ def max_fidelity_to_sep(
     iters: int = 200,
     seed: int = 0,
     restarts: int = 8,
-    stop_gain: float = 1e-12,
 ) -> MixtureResult:
     """Frank-Wolfe lower bound on the fidelity between ``rho`` and the
     separable set across ``cut``.
@@ -455,11 +453,11 @@ def max_fidelity_to_sep(
     matrix, da, db = _regroup(rho.op, cut)
 
     def lmo(grad, it):
-        step = _seesaw_product_max(grad, da, db, restarts, 200, seed + it)
+        step = _seesaw_product_max(grad, da, db, restarts, SEESAW_MAX_ITERS, seed + it)
         return (step.a_vec, step.b_vec), _atom_matrix(step.a_vec, step.b_vec)
 
     start = [((a, b), _atom_matrix(a, b)) for a, b in _identity_atoms(da, db)]
-    res = _fw_fidelity(matrix, start, lmo, iters, stop_gain)
+    res = _fw_fidelity(matrix, start, lmo, iters)
     return replace(res, extras={"da": da, "db": db})
 
 
@@ -527,7 +525,6 @@ def hs_distance_to_sep(
     iters: int = 200,
     seed: int = 0,
     restarts: int = 8,
-    stop_gap: float = 1e-13,
 ) -> MixtureResult:
     """Gilbert-style upper bound on the 2-norm distance from the separable set.
 
@@ -536,7 +533,7 @@ def hs_distance_to_sep(
     with the residual (seesaw oracle) and re-solves the mixture weights on
     the accumulated atoms exactly (``_min_norm_weights``), so the distance
     estimate is monotone non-increasing.  ``converged`` says whether the
-    oracle's gain fell to ``stop_gap`` before ``iters`` rounds ran out.
+    oracle's gain fell to 1e-13 before ``iters`` rounds ran out.
     """
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
@@ -549,9 +546,9 @@ def hs_distance_to_sep(
     for it in range(1, iters + 1):
         current = weights @ basis
         resid = target - current
-        step = _seesaw_product_max(resid.reshape(dim, dim), da, db, restarts, 200, seed + it)
+        step = _seesaw_product_max(resid.reshape(dim, dim), da, db, restarts, SEESAW_MAX_ITERS, seed + it)
         atom = _atom_matrix(step.a_vec, step.b_vec).reshape(-1)
-        if float(np.real(np.vdot(resid, atom)) - np.real(np.vdot(resid, current))) <= stop_gap:
+        if float(np.real(np.vdot(resid, atom)) - np.real(np.vdot(resid, current))) <= 1e-13:
             converged = True
             break
         atoms.append((step.a_vec, step.b_vec))
@@ -592,13 +589,14 @@ def pauli_tomography_povm() -> Povm:
     return Povm(tuple(np.outer(k, k.conj()) / 3.0 for k in kets), labels)
 
 
-def _product_lmo_upper(matrix: np.ndarray, da: int, db: int, q: int = 4) -> float:
+def _product_lmo_upper(matrix: np.ndarray, da: int, db: int) -> float:
     """Certified upper bound on ``max <ab|M|ab>`` over product states.
 
     Product states are q-extendible for every q, so the top eigenvalue of
-    the B-side twirl of ``M (x) 1^{q-1}`` dominates the product maximum.
+    the B-side twirl of ``M (x) 1^{q-1}`` dominates the product maximum;
+    ``q`` is 4, or the largest smaller value under the side cap.
     """
-    q = max(1, q)
+    q = 4
     while da * db**q > max_side() and q > 1:
         q -= 1
     return float(np.linalg.eigvalsh(_b_twirled_extension(matrix, da, db, q))[-1])
@@ -612,7 +610,6 @@ def measured_fidelity_to_sep_upper(
     iters: int = 400,
     seed: int = 0,
     restarts: int = 6,
-    lmo_q: int = 4,
 ) -> MeasuredUpperResult:
     """Upper bound on the measured fidelity between ``rho`` and the
     separable set, using one fixed product POVM.
@@ -645,7 +642,7 @@ def measured_fidelity_to_sep_upper(
         coeff = sqrt_p / (2.0 * np.sqrt(np.clip(q_out[mask], 1e-18, None)))
         grad = np.tensordot(coeff, elems[mask], axes=(0, 0))
         grad = (grad + grad.conj().T) / 2.0
-        lmo_up = _product_lmo_upper(grad, da, db, lmo_q)
+        lmo_up = _product_lmo_upper(grad, da, db)
         gap = lmo_up - float(np.real(np.trace(grad @ sigma)))
         improved = lower + gap < best_upper - 1e-10
         best_upper = min(best_upper, lower + gap)
@@ -707,10 +704,11 @@ def certificate_to_json(kind: str, op: HermitianOperator, cut: BipartiteCut, res
     }
 
 
-def recheck_certificate(obj: dict, tol: float = 1e-8) -> tuple[float, float, bool]:
+def recheck_certificate(obj: dict) -> tuple[float, float, bool]:
     """Re-evaluate a certificate's claimed value from its atoms alone.
 
-    Returns ``(claimed, recomputed, ok)``; no optimization is rerun.  Raises
+    Returns ``(claimed, recomputed, ok)``, ``ok`` when the two agree within
+    ``RECHECK_TOL``; no optimization is rerun.  Raises
     ``ValueError`` for a malformed certificate: weights off the probability
     simplex, or atoms that are not unit vectors of the cut's local sides
     (a scaled atom would certify values no product state attains).
@@ -745,4 +743,4 @@ def recheck_certificate(obj: dict, tol: float = 1e-8) -> tuple[float, float, boo
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     claimed = float(obj["value"])
-    return claimed, recomputed, bool(abs(claimed - recomputed) <= tol)
+    return claimed, recomputed, bool(abs(claimed - recomputed) <= RECHECK_TOL)

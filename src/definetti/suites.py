@@ -68,12 +68,10 @@ def all_passed(records) -> bool:
     return all(r["pass"] is not False for r in records)
 
 
-def pinching_suite(
-    seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4, tol: float = 1e-9
-):
+def pinching_suite(seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4):
     """Random-instance check of the cross-term pinching inequality."""
-
-    def one(s: int) -> dict:
+    out = []
+    for s in range(seeds):
         rng = stream(seed, "pinching", s)
         d = int(rng.integers(2, d_max + 1))
         r = int(rng.integers(1, r_max + 1))
@@ -81,34 +79,27 @@ def pinching_suite(
             rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(r)
         ]
         rho = induced_mixed_state((d,), seed, "pinching-state", s)
-        res = reductions.check_pinching(ops, rho, tol=tol)
-        return record(
-            "verify-pinching",
-            "pinching-cross-term-bound",
-            {"d": d, "r": r},
-            seed + s,
-            gap=res.gap_min_eig,
-            tolerance=tol,
-            passed=res.passed,
+        res = reductions.check_pinching(ops, rho)
+        out.append(
+            record(
+                "verify-pinching",
+                "pinching-cross-term-bound",
+                {"d": d, "r": r},
+                seed + s,
+                gap=res.gap_min_eig,
+                tolerance=res.tolerance,
+                passed=res.passed,
+            )
         )
+    return out
 
-    return [one(s) for s in range(seeds)]
 
-
-def definetti_suite(
-    n: int = 2,
-    d: int = 2,
-    seeds: int = 100,
-    seed: int = 0,
-    mixed: bool = False,
-    tol: float = 1e-9,
-):
+def definetti_suite(n: int = 2, d: int = 2, seeds: int = 100, seed: int = 0, mixed: bool = False):
     """Seeded PSD checks of the pure or mixed constrained reduction."""
-
-    def one(s: int) -> dict:
-        inst = seed + s
+    out = []
+    for inst in range(seed, seed + seeds):
         if mixed:
-            res = reductions.check_mixed_reduction(n, d, seed=inst, tol=tol)
+            res = reductions.check_mixed_reduction(n, d, seed=inst)
             anchor = "mixed-state-constrained-reduction"
             params = dict(res.params)
             params["fidelity_domination_min_margin"] = res.extras[
@@ -116,24 +107,25 @@ def definetti_suite(
             ]
         else:
             theta = symmetric_state_vector(n, d, inst, "suite")
-            res = reductions.check_pure_reduction(theta, n, d, tol=tol)
+            res = reductions.check_pure_reduction(theta, n, d)
             anchor = "pure-state-constrained-reduction"
             params = dict(res.params)
-        return record(
-            "verify-definetti",
-            anchor,
-            params,
-            inst,
-            gap=res.gap_min_eig,
-            bound=res.prefactor,
-            tolerance=tol,
-            passed=res.passed,
+        out.append(
+            record(
+                "verify-definetti",
+                anchor,
+                params,
+                inst,
+                gap=res.gap_min_eig,
+                bound=res.prefactor,
+                tolerance=res.tolerance,
+                passed=res.passed,
+            )
         )
+    return out
 
-    return [one(s) for s in range(seeds)]
 
-
-def classical_suite(d: int = 2, n: int = 3, seed: int = 0, tol: float = 1e-12):
+def classical_suite(d: int = 2, n: int = 3, seed: int = 0):
     """Pointwise reduction for the three canonical symmetric distributions."""
     size = d**n
     uniform = np.full(size, 1.0 / size)
@@ -153,7 +145,7 @@ def classical_suite(d: int = 2, n: int = 3, seed: int = 0, tol: float = 1e-12):
         ("point-mass", point),
         ("symmetrized-string", mixed_string),
     ):
-        res = reductions.check_classical_reduction(dist, d, n, tol=tol)
+        res = reductions.check_classical_reduction(dist, d, n)
         out.append(
             record(
                 "verify-classical",
@@ -162,34 +154,31 @@ def classical_suite(d: int = 2, n: int = 3, seed: int = 0, tol: float = 1e-12):
                 seed,
                 gap=res.min_slack,
                 bound=res.printed_prefactor,
-                tolerance=tol,
+                tolerance=res.tolerance,
                 passed=res.passed,
             )
         )
     return out
 
 
-def truncated_suite(
-    configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: int = 0, tol: float = 1e-9
-):
+def truncated_suite(configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: int = 0):
     """Seeded PSD checks of the truncated-ambient reduction."""
     out = []
     for (d, big_d, n, k) in configs:
-
-        def one(s: int, d=d, big_d=big_d, n=n, k=k) -> dict:
-            res = reductions.check_truncated_ambient_reduction(n, k, d, big_d, seed=seed + s, tol=tol)
-            return record(
-                "verify-truncated",
-                "truncated-ambient-reduction",
-                res.params,
-                seed + s,
-                gap=res.gap_min_eig,
-                bound=res.prefactor,
-                tolerance=tol,
-                passed=res.passed,
+        for inst in range(seed, seed + seeds):
+            res = reductions.check_truncated_ambient_reduction(n, k, d, big_d, seed=inst)
+            out.append(
+                record(
+                    "verify-truncated",
+                    "truncated-ambient-reduction",
+                    res.params,
+                    inst,
+                    gap=res.gap_min_eig,
+                    bound=res.prefactor,
+                    tolerance=res.tolerance,
+                    passed=res.passed,
+                )
             )
-
-        out.extend(one(s) for s in range(seeds))
     return out
 
 
@@ -219,6 +208,7 @@ def hsep_records(
     ]
     if q_max:
         interval = separability._interval_from_seesaw(op, cut, q_max, res)
+        tol = 1e-9
         records.append(
             record(
                 "hsep",
@@ -227,8 +217,8 @@ def hsep_records(
                 seed,
                 value=interval.lower,
                 bound=interval.upper,
-                tolerance=1e-9,
-                passed=bool(interval.lower <= interval.upper + 1e-9),
+                tolerance=tol,
+                passed=bool(interval.lower <= interval.upper + tol),
             )
         )
     return records, res
@@ -381,7 +371,6 @@ def conditioning_suite(
     instances: int = 10,
     selection: str = "greedy_min_mi",
     seed: int = 0,
-    tol: float = 1e-8,
 ):
     """Random-instance measurement-conditioning trajectories with checks."""
     records = []
@@ -392,7 +381,7 @@ def conditioning_suite(
         alpha = induced_mixed_state((2,) * n, seed, "cond-alpha", i)
         beta = induced_mixed_state((2,) * n, seed, "cond-beta", i)
         traj = repetition.recursive_conditioning_demo(
-            m, alpha, beta, q=q, selection=selection, seed=seed + i, tol=tol
+            m, alpha, beta, q=q, selection=selection, seed=seed + i
         )
         trajectories.append(traj)
         ok = traj.passed_final and traj.ratio_defect <= 1e-10
@@ -412,7 +401,7 @@ def conditioning_suite(
                 seed + i,
                 value=traj.final_p,
                 bound=traj.final_bound,
-                tolerance=tol,
+                tolerance=repetition.CONDITIONING_TOL,
                 passed=bool(ok),
             )
         )
@@ -428,6 +417,7 @@ def framework_suite(seed: int = 0, n_exhaustive: int = 8):
     table = repetition.PiecewiseTable.from_function(lambda e: e * e / 4.0, points=2**17 + 1)
     rep = repetition.framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=table, n=10)
     root = 2.0 * (math.sqrt(1.5) - 1.0)
+    root_tol = 1e-10
     records.append(
         record(
             "framework",
@@ -436,8 +426,8 @@ def framework_suite(seed: int = 0, n_exhaustive: int = 8):
             seed,
             value=rep.eps_decay,
             gap=abs(rep.eps_decay - root),
-            tolerance=1e-10,
-            passed=bool(abs(rep.eps_decay - root) <= 1e-10),
+            tolerance=root_tol,
+            passed=bool(abs(rep.eps_decay - root) <= root_tol),
         )
     )
     witness = hermitian(np.full((2, 2), 0.5), (2,))

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from definetti import suites
+from definetti import repetition, suites
 from definetti.cli import main as cli_main
 from definetti.operators import (
     hermitian,
@@ -61,9 +61,10 @@ def _report(num: int, name: str, passed: bool = True):
 
 
 def test_criterion_01_pinching():
-    records = suites.pinching_suite(seeds=100, seed=0, d_max=4, r_max=4, tol=1e-9)
+    records = suites.pinching_suite(seeds=100, seed=0, d_max=4, r_max=4)
     failures = [r for r in records if not r["pass"]]
     assert len(records) == 100
+    assert all(r["tolerance"] == 1e-9 for r in records)
     _report(1, "pinching suite, 100 random instances", not failures)
 
 
@@ -83,8 +84,8 @@ def test_criterion_03_pure_reduction():
     for (n, d) in [(2, 2), (3, 2), (2, 3)]:
         for s in range(50):
             theta = symmetric_state_vector(n, d, s, "acc3", n, d)
-            res = check_pure_reduction(theta, n, d, tol=1e-9)
-            ok &= res.passed
+            res = check_pure_reduction(theta, n, d)
+            ok &= res.passed and res.tolerance == 1e-9
     theta = symmetric_state_vector(2, 2, 424242, "acc3-mc")
     exact = constrained_moment(theta, 2, 2).matrix
     mean, stderr = monte_carlo_constrained_moment(theta, 2, 2, samples=100_000, seed=33)
@@ -95,8 +96,8 @@ def test_criterion_03_pure_reduction():
 def test_criterion_04_mixed_reduction():
     ok = True
     for s in range(25):
-        res = check_mixed_reduction(2, 2, seed=s, samples=100, tol=1e-9)
-        ok &= res.passed
+        res = check_mixed_reduction(2, 2, seed=s, samples=100)
+        ok &= res.passed and res.tolerance == 1e-9
         ok &= res.extras["fidelity_domination_min_margin"] >= -1e-9
     _report(4, "mixed constrained reduction, 25 seeds at d=2 n=2", ok)
 
@@ -112,16 +113,16 @@ def test_criterion_05_classical_reduction():
     dists["symmetrized"] = sym_string
     ok = True
     for dist in dists.values():
-        res = check_classical_reduction(dist, 2, 3, tol=1e-12)
-        ok &= res.passed and res.rhs_diag.size == 8
+        res = check_classical_reduction(dist, 2, 3)
+        ok &= res.passed and res.rhs_diag.size == 8 and res.tolerance == 1e-12
     _report(5, "classical pointwise reduction over all strings", ok)
 
 
 def test_criterion_06_truncated_reduction():
     ok = True
     for (d, big_d, n, k) in [(2, 3, 1, 1), (2, 3, 2, 1)]:
-        res = check_truncated_ambient_reduction(n, k, d, big_d, seed=0, tol=1e-9)
-        ok &= res.passed
+        res = check_truncated_ambient_reduction(n, k, d, big_d, seed=0)
+        ok &= res.passed and res.tolerance == 1e-9
     # k = 0 reduces to the pure reduction: same prefactor, and the bound
     # operator is the pure-case operator embedded in the low block
     theta = symmetric_state_vector(2, 2, 7, "acc6")
@@ -216,30 +217,30 @@ def test_criterion_09_decay_bound_consistency():
 
 
 def test_criterion_10_post_measurement():
-    ok = True
+    ok = repetition.BUDGET_TOL == 1e-9
     for i in range(100):
         rho = induced_mixed_state((2, 2), 4, i)
         t = hermitian(random_contraction(2, stream(5, i)), (2,))
-        res = post_measurement_update(rho, t, tol=1e-9)
+        res = post_measurement_update(rho, t)
         ok &= res.passed
     _report(10, "post-measurement relative entropy lemma, 100 instances", ok)
 
 
 def test_criterion_11_cmi_chain():
-    ok = True
+    ok = repetition.BUDGET_TOL == 1e-9
     for (n, k) in [(2, 1), (3, 1), (3, 2)]:
         for i in range(20):
             m = hermitian(random_contraction(4, stream(6, n, k, i)), (2, 2))
             alpha = induced_mixed_state((2,) * n, 7, n, k, i, "a")
             beta = induced_mixed_state((2,) * n, 7, n, k, i, "b")
-            rep = cmi_chain_check(m, alpha, beta, k, tol=1e-9)
+            rep = cmi_chain_check(m, alpha, beta, k)
             ok &= rep.passed
     _report(11, "conditional mutual information chain, 60 instances", ok)
 
 
 def test_criterion_12_scalar_recursion():
     rng = stream(8, "acc12")
-    ok = True
+    ok = repetition.RECURSION_TOL == 1e-12
     count = 0
     while count < 1000:
         n = int(rng.integers(2, 30))
@@ -248,11 +249,11 @@ def test_criterion_12_scalar_recursion():
         corollary_gamma = count % 2 == 0
         gamma = (1 - nu) / 2 if corollary_gamma else float(rng.uniform(0.1, 0.95)) * (1 - nu)
         seq = sample_admissible_sequence(n, nu, c, gamma, rng)
-        lemma = scalar_recursion_bound(seq, nu, c, gamma, tol=1e-12)
+        lemma = scalar_recursion_bound(seq, nu, c, gamma)
         if not lemma.applicable:
             continue
         ok &= lemma.holds
-        cor = scalar_recursion_corollary(seq, nu, c, tol=1e-12)
+        cor = scalar_recursion_corollary(seq, nu, c)
         if corollary_gamma:
             ok &= cor.applicable and cor.holds
         elif cor.applicable:
@@ -264,7 +265,7 @@ def test_criterion_12_scalar_recursion():
     for k in range(1, n):
         bracket = math.sqrt(c / (n - k) * math.log2(1 / seq[-1])) + nu
         seq.append(seq[-1] * min(1.0, bracket))
-    verdict = scalar_recursion_bound(seq, nu, c, gamma, tol=1e-12)
+    verdict = scalar_recursion_bound(seq, nu, c, gamma)
     ok &= verdict.applicable and verdict.holds
     for k in range(n - 1):
         bracket = math.sqrt(c / (n - (k + 1)) * math.log2(1 / seq[k])) + nu
@@ -274,7 +275,7 @@ def test_criterion_12_scalar_recursion():
 
 
 def test_criterion_13_conditioning_demo():
-    ok = True
+    ok = repetition.CONDITIONING_TOL == 1e-8
     for i in range(50):
         n = 2 if i % 2 == 0 else 3
         alpha = induced_mixed_state((2,) * n, 9, i, "a")
@@ -282,7 +283,7 @@ def test_criterion_13_conditioning_demo():
         m = hermitian(random_contraction(4, stream(10, i)), (2, 2))
         for q in (2, 3):
             traj = recursive_conditioning_demo(
-                m, alpha, beta, q=q, selection="greedy_min_mi", seed=i, tol=1e-8
+                m, alpha, beta, q=q, selection="greedy_min_mi", seed=i
             )
             ok &= traj.per_step_ok
             ok &= traj.final_p <= bound_qext_power(traj.hqext_value, q, n) + 1e-8

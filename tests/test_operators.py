@@ -520,3 +520,87 @@ def test_constructors_neither_copy_nor_check(monkeypatch):
         HermitianOperator(np.zeros((2, 3)), (2,))
     with pytest.raises(ValueError):
         DensityMatrix(HermitianOperator(np.diag([0.7, 0.7]), (2,)))
+
+
+# -- property tests: permutations, partial traces, twirls ---------------------
+
+
+@st.composite
+def _two_permutations(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    a = draw(st.permutations(range(n)))
+    b = draw(st.permutations(range(n)))
+    return PermutationSpec(tuple(a)), PermutationSpec(tuple(b))
+
+
+@given(perms=_two_permutations(), d=st.integers(1, 3))
+def test_permutation_spec_algebra_matches_unitaries(perms, d):
+    a, b = perms
+    assume(d ** len(a) <= 81)
+    ua, ub = permutation_unitary(a, d), permutation_unitary(b, d)
+    # 0/1 matrices: the products are exact
+    assert np.array_equal(permutation_unitary(a.compose(b), d), ua @ ub)
+    assert np.array_equal(permutation_unitary(a.inverse(), d), ua.conj().T)
+    assert a.compose(a.inverse()) == PermutationSpec.identity(len(a))
+    assert a.inverse().inverse() == a
+
+
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_partial_trace_commutes_with_permute_factors(dims, data, seed):
+    assume(math.prod(dims) <= 81)
+    m = len(dims)
+    x = hermitian(random_hermitian(math.prod(dims), stream(seed, "pt-perm")), dims)
+    order = data.draw(st.permutations(range(m)))
+    keep = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    moved = partial_trace(permute_factors(x, order), keep)
+    # the same factors kept before the move, then put in the moved order
+    kept_old = sorted(order[k] for k in keep)
+    ref = permute_factors(partial_trace(x, kept_old), [kept_old.index(order[k]) for k in keep])
+    assert moved.dims == ref.dims
+    assert np.abs(moved.matrix - ref.matrix).max() <= 1e-12
+
+
+def _group_order(perm, g):
+    """Factor order moving whole groups of ``g`` factors by ``perm``."""
+    return [perm[k] * g + j for k in range(len(perm)) for j in range(g)]
+
+
+@given(
+    group=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    n=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_permutation_twirl_idempotent_and_permutation_invariant(group, n, data, seed):
+    assume(math.prod(group) ** n <= 256)
+    dims = tuple(group) * n
+    x = hermitian(random_hermitian(math.prod(dims), stream(seed, "twirl-prop")), dims)
+    tw = permutation_twirl(x, n)
+    assert np.abs(permutation_twirl(tw, n).matrix - tw.matrix).max() <= 1e-12
+    order = _group_order(data.draw(st.permutations(range(n))), len(group))
+    moved = permute_factors(x, order)
+    assert np.abs(permutation_twirl(moved, n).matrix - tw.matrix).max() <= 1e-12
+    assert np.abs(permute_factors(tw, order).matrix - tw.matrix).max() <= 1e-12
+
+
+@given(
+    a_dim=st.integers(1, 3),
+    d=st.integers(1, 3),
+    q=st.integers(1, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_b_side_twirl_idempotent_and_permutation_invariant(a_dim, d, q, data, seed):
+    assume(a_dim * d**q <= 256)
+    dims = (a_dim,) + (d,) * q
+    x = hermitian(random_hermitian(math.prod(dims), stream(seed, "b-twirl-prop")), dims)
+    tw = b_side_twirl(x, q)
+    assert np.abs(b_side_twirl(tw, q).matrix - tw.matrix).max() <= 1e-12
+    order = [0] + [1 + i for i in data.draw(st.permutations(range(q)))]
+    moved = permute_factors(x, order)
+    assert np.abs(b_side_twirl(moved, q).matrix - tw.matrix).max() <= 1e-12
+    assert np.abs(permute_factors(tw, order).matrix - tw.matrix).max() <= 1e-12

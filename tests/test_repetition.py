@@ -18,6 +18,7 @@ from definetti.operators import (
     tensor_power,
 )
 from definetti.repetition import (
+    RECURSION_TOL,
     PiecewiseTable,
     binomial_tail,
     bound_hsep_power,
@@ -222,8 +223,9 @@ def test_recursion_constant_ratio_small_case():
     base = nu + gamma
     c = gamma**2 * (n - 1) / math.log2(1 / base)
     p = [base, base**2]
-    verdict = scalar_recursion_bound(p, nu, c, gamma, tol=1e-12)
+    verdict = scalar_recursion_bound(p, nu, c, gamma)
     assert verdict.applicable and verdict.holds
+    assert RECURSION_TOL == 1e-12
     assert abs(verdict.hypothesis_residuals[0]) < 1e-12
 
 
@@ -250,6 +252,22 @@ def test_recursion_hypothesis_violation_is_not_applicable():
     bad2 = [0.5, 0.49999999]
     v2 = scalar_recursion_bound(bad2, 0.1, 1e-6, 0.5)
     assert not v2.applicable
+
+
+def _verdict_fields(v):
+    return (v.applicable, v.holds, v.k0, v.margins, v.hypothesis_residuals, v.params)
+
+
+@pytest.mark.parametrize("seq", [[0.7, 0.6], [0.65, 0.5, 0.4], [0.5, 0.499, 0.6], [0.9]])
+def test_recursion_iterator_input_matches_list(seq):
+    # the sequence is read once: an iterator gets the same n, k0 and margins
+    assert _verdict_fields(scalar_recursion_corollary(iter(seq), 0.5, 1.0)) == _verdict_fields(
+        scalar_recursion_corollary(seq, 0.5, 1.0)
+    )
+    assert _verdict_fields(scalar_recursion_bound(iter(seq), 0.5, 1.0, 0.2)) == _verdict_fields(
+        scalar_recursion_bound(seq, 0.5, 1.0, 0.2)
+    )
+    assert scalar_recursion_corollary(iter(seq), 0.5, 1.0).params["n"] == len(seq)
 
 
 # -- conditioning demo --------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+import math
 import struct
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti.operators import hermitian, random_hermitian, stream
@@ -73,3 +77,14 @@ def test_loaders_reject_non_hermitian():
     blob[-8:] = struct.pack("<d", 1.0)
     with pytest.raises(ValueError, match="not Hermitian"):
         operator_from_bytes(bytes(blob))
+
+
+@given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_roundtrips_exact_at_random_dims(dims, seed):
+    side = math.prod(dims)
+    op = hermitian(random_hermitian(side, stream(seed, "ser-prop")), dims)
+    via_text = operator_from_json(json.loads(json.dumps(operator_to_json(op))))
+    via_bytes = operator_from_bytes(operator_to_bytes(op))
+    for back in (via_text, via_bytes):
+        assert back.dims == op.dims
+        assert np.array_equal(back.matrix, op.matrix)
