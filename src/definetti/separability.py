@@ -6,11 +6,14 @@ for everything here: lower bounds on the separability support function,
 Frank-Wolfe maximization of fidelity to the separable set, a Gilbert-style
 upper bound on the 2-norm distance, and a fixed-POVM upper bound on the
 measured fidelity.  The q-extendible support function needs no optimizer at
-all; it is an exact top eigenvalue of a one-sided twirl.
+all; it is an exact top eigenvalue of a one-sided twirl, taken one S_q irrep
+at a time (``_irrep_blocks``), so no matrix of side ``da * db**q`` is built.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +24,6 @@ from .operators import (
     DensityMatrix,
     Dims,
     HermitianOperator,
-    b_side_twirl,
     check_side,
     max_side,
     permute_factors,
@@ -117,9 +119,15 @@ class SeesawResult:
 
 @dataclass(frozen=True, eq=False)
 class QExtResult:
+    """``irrep`` is the Young diagram of the S_q block holding the top
+    eigenvalue; ``block_side`` is that block's side, ``da`` times the
+    dimension of its piece."""
+
     value: float
     q: int
     witness_vec: np.ndarray
+    irrep: tuple[int, ...]
+    block_side: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,10 +284,16 @@ def hsep_seesaw(
 def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
     """Exact support function of the q-extendible set at ``m``.
 
-    Equals the top eigenvalue of the B-side twirl of ``M (x) 1^{q-1}``: the
-    linear objective over B-permutation-invariant states is maximized on the
-    top eigenspace of the twirled operator, and the twirl of that eigenstate
-    reduces to a q-extendible state on A(x)B.
+    Equals the top eigenvalue of the B-side twirl of ``M (x) 1^{q-1}``, that
+    is of ``H = (1/q) sum_i M_{A B_i}``: the linear objective over
+    B-permutation-invariant states is maximized on the top eigenspace of
+    ``H``, and the twirl of that eigenstate reduces to a q-extendible state
+    on A(x)B.  ``H`` commutes with the permutations of the q B factors, so
+    it is diagonalized one Young diagram at a time on ``A (x)`` one
+    Gelfand-Tsetlin piece (``_irrep_blocks``); the witness is the top
+    eigenvector of the best block lifted back to ``A (x) B^q``, a top
+    eigenvector of the twirled operator.  The side ``da * db**q`` of that
+    space is still held to the side cap.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -289,16 +303,99 @@ def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
 
 
 def _hqext_regrouped(matrix: np.ndarray, da: int, db: int, q: int) -> QExtResult:
-    """``hqext`` on a matrix already regrouped to (A, B) and checked."""
+    """``hqext`` on a Hermitian matrix already regrouped to (A, B).
+
+    The block of shape ``lambda`` is ``(1_A (x) Q)^dag H (1_A (x) Q)`` for
+    its piece ``Q = (P (x) 1_B) V`` (``_irrep_blocks``).  On
+    ``A (x) P (x) B_q``, ``q H`` is ``S (x) 1_B + 1_P (x) M_{A B_q}``, where
+    ``S``, the sum of ``M_{A B_i}`` over ``i < q`` compressed onto
+    ``1_A (x) P``, is one product of ``M`` with the parent's summed partial
+    Gram; ``V`` then compresses that to side ``da * k``.  No array is larger
+    than ``(da * db**q)**2`` entries.  The largest top eigenvalue wins; ties
+    go to the first block in ``_irrep_blocks`` order.
+    """
     check_side(da * db**q, "q-extension space")
-    value, vec = _top_eigpair(_b_twirled_extension(matrix, da, db, q))
-    return QExtResult(value=float(value), q=q, witness_vec=vec)
+    # m_ab[(a, a'), (b, b')] = M[(a, b), (a', b')]
+    m_ab = matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
+    best = None
+    for shape, basis, v, gram in _irrep_blocks(db, q):
+        kp, _, k = v.shape
+        # t[a, a', j, c, l] = ((S (x) 1_B + 1_P (x) M_{A B_q}) (1_A (x) V))[(a, j, c), (a', l)]
+        t = ((m_ab @ gram).reshape(da * da * kp, kp) @ v.reshape(kp, db * k)).reshape(da, da, kp, db, k)
+        mv = m_ab.reshape(da * da * db, db) @ v.transpose(1, 0, 2).reshape(db, kp * k)
+        t += mv.reshape(da, da, db, kp, k).transpose(0, 1, 3, 2, 4)
+        block = v.reshape(kp * db, k).conj().T @ t.reshape(da, da, kp * db, k)  # [a, a', l', l]
+        value, x = _top_eigpair(block.transpose(0, 2, 1, 3).reshape(da * k, da * k) / q)
+        if best is None or value > best[0]:
+            best = value, x, shape, basis
+    value, x, shape, basis = best
+    witness = (x.reshape(da, -1) @ basis.T).reshape(-1)
+    return QExtResult(value=value, q=q, witness_vec=witness, irrep=shape, block_side=len(x))
 
 
-def _b_twirled_extension(matrix: np.ndarray, da: int, db: int, q: int) -> np.ndarray:
-    """B-side twirl of ``M (x) 1^{q-1}`` on ``A (x) B^q``, as a matrix."""
-    ext = np.kron(matrix, np.eye(db ** (q - 1)))
-    return b_side_twirl(HermitianOperator(ext, Dims((da,) + (db,) * q)), q).matrix
+@functools.lru_cache(maxsize=16)
+def _irrep_blocks(db: int, q: int) -> tuple:
+    """One Gelfand-Tsetlin piece of ``(C^db)^{(x)q}`` per Young diagram.
+
+    Returns ``(shape, basis, v, gram)``, one for every diagram of ``q``
+    boxes with at most ``db`` rows, in descending ``shape`` order.
+    ``basis`` (``db^q x k``, orthonormal columns) spans the joint
+    eigenspace of the Jucys-Murphy elements ``X_j = sum_{i<j} swap(i, j)``
+    for one standard tableau of ``shape``, on which each ``X_j`` acts as the
+    content (column minus row) of the box holding ``j`` (Okounkov-Vershik,
+    arXiv:math/0503040).  That space is one copy of the U(db) irrep of
+    ``shape``, so an operator on ``A (x) B^q`` that commutes with the
+    permutations of the B factors has, compressed onto ``1_A (x) basis``,
+    the spectrum it has on the whole isotypic component.
+
+    Built one factor at a time from the pieces for ``q - 1`` (``q = 0`` is
+    the one empty diagram, on ``C^1``).  For a parent piece ``P`` of side
+    ``kp``, ``gram[(b, b'), (j, j')]`` is its partial Gram summed over the
+    ``q - 1`` factors,
+    ``sum_i sum_rest conj(P[(b at i, rest), j]) P[(b' at i, rest), j']``,
+    and the new ``X_q`` compresses to it re-indexed on ``P (x) C^db``.  Its
+    eigenvalues are the contents of the boxes addable to the parent's shape.
+    They are integers, so rounding them is exact.  Each eigenspace gives the
+    ``kp x db x k`` isometry ``v`` with ``basis = (P (x) 1) v``; the first
+    parent (in order) to reach a shape supplies its piece, and ``gram`` is
+    that parent's.  The Gram of the pieces of ``q`` itself is only formed
+    when ``q + 1`` is built, so its side ``db * kp`` is at most ``db**q``.
+    The arrays are read-only.  One level holds at most ``2 * db**(2 q)``
+    entries; the cache keeps 16 levels, enough for the deepest sweep the
+    default cap allows (``db = 2``, levels ``0..11``).
+    """
+    if q == 0:
+        return (((), np.ones((1, 1), dtype=complex), None, None),)
+    pieces = {}
+    for shape, parent, _, _ in _irrep_blocks(db, q - 1):
+        kp = parent.shape[1]
+        t = parent.reshape((db,) * (q - 1) + (kp,))
+        gram = np.zeros((db * kp, db * kp), dtype=complex)
+        for i in range(q - 1):
+            rows = np.moveaxis(t, i, -2).reshape(-1, db * kp)  # [rest, (b, j)]
+            gram += rows.conj().T @ rows
+        gram = gram.reshape(db, kp, db, kp).transpose(0, 2, 1, 3).reshape(db * db, kp * kp)
+        gram.setflags(write=False)
+        # <P_j (x) e_c| X_q |P_j' (x) e_c'> = gram[(c', c), (j, j')]
+        x_q = gram.reshape(db, db, kp, kp).transpose(2, 1, 3, 0).reshape(kp * db, kp * db)
+        w, vecs = np.linalg.eigh(x_q)
+        # the addable box in row r has content len(row r) - r
+        row_of = {n - r: r for r, n in enumerate(shape + (0,))}
+        col = 0
+        for content, run in itertools.groupby(round(float(c)) for c in w):
+            width = len(list(run))
+            grown = list(shape) + [0]
+            grown[row_of[content]] += 1
+            new = tuple(n for n in grown if n)
+            if new not in pieces:
+                # vecs' rows are ordered (j, c)
+                v = vecs[:, col : col + width].reshape(kp, db, width)
+                basis = (parent @ v.reshape(kp, db * width)).reshape(-1, width)
+                v.setflags(write=False)
+                basis.setflags(write=False)
+                pieces[new] = (basis, v, gram)
+            col += width
+    return tuple((shape, *pieces[shape]) for shape in sorted(pieces, reverse=True))
 
 
 def hsep_certified_interval(
@@ -592,14 +689,14 @@ def pauli_tomography_povm() -> Povm:
 def _product_lmo_upper(matrix: np.ndarray, da: int, db: int) -> float:
     """Certified upper bound on ``max <ab|M|ab>`` over product states.
 
-    Product states are q-extendible for every q, so the top eigenvalue of
-    the B-side twirl of ``M (x) 1^{q-1}`` dominates the product maximum;
-    ``q`` is 4, or the largest smaller value under the side cap.
+    Product states are q-extendible for every q, so the q-extendible value
+    (``_hqext_regrouped``) dominates the product maximum; ``q`` is 4, or the
+    largest smaller value under the side cap.
     """
     q = 4
     while da * db**q > max_side() and q > 1:
         q -= 1
-    return float(np.linalg.eigvalsh(_b_twirled_extension(matrix, da, db, q))[-1])
+    return _hqext_regrouped(matrix, da, db, q).value
 
 
 def measured_fidelity_to_sep_upper(

@@ -230,7 +230,13 @@ def qext_records(op: HermitianOperator, cut: separability.BipartiteCut, q: int, 
         record(
             "qext",
             "extendible-support-eigenvalue",
-            {"q": q, "cut_a": list(cut.a_factors), "cut_b": list(cut.b_factors)},
+            {
+                "q": q,
+                "cut_a": list(cut.a_factors),
+                "cut_b": list(cut.b_factors),
+                "irrep": list(res.irrep),
+                "block_side": res.block_side,
+            },
             seed,
             value=res.value,
         )

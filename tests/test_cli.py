@@ -118,7 +118,16 @@ def test_hsep_interval(tmp_path, singlet_file):
 def test_qext(tmp_path, singlet_file):
     code, blob = run(tmp_path, "qext", "--op", singlet_file, "--q", "2")
     assert code == 0
-    assert abs(json.loads(blob)[0]["value"] - 0.75) < 1e-9
+    rec = json.loads(blob)[0]
+    assert abs(rec["value"] - 0.75) < 1e-9
+    # the winning S_2 block: the symmetric one, of side 2 * 3
+    assert rec["params"]["irrep"] == [2] and rec["params"]["block_side"] == 6
+
+
+def test_qext_past_the_cap_exits_3(tmp_path, singlet_file, capsys):
+    # side 2 * 2**12 = 8192 exceeds the default cap of 4096
+    assert main(["qext", "--op", singlet_file, "--q", "12", "--out", str(tmp_path / "x.json")]) == 3
+    assert "q-extension space side 8192" in capsys.readouterr().err
 
 
 def test_value_only_records_have_null_pass(tmp_path, singlet_file):

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from definetti import suites
 from definetti.measures import Povm, fidelity
 from definetti.operators import (
+    Dims,
+    HermitianOperator,
+    ResourceCapError,
     b_side_twirl,
     density,
     hermitian,
@@ -26,7 +30,9 @@ from definetti.operators import (
 from definetti.separability import (
     SEESAW_STOP,
     BipartiteCut,
+    _irrep_blocks,
     _min_norm_weights,
+    _product_lmo_upper,
     _random_unit,
     _seesaw_product_max,
     _top_eigpair,
@@ -278,6 +284,130 @@ def test_hqext_monotone_and_dominates_seesaw():
         assert v1 >= v2 - 1e-9
         assert v2 >= v3 - 1e-9
         assert v3 >= lower - 1e-9
+
+
+def _dense_twirled(m: np.ndarray, da: int, db: int, q: int) -> np.ndarray:
+    """B-side twirl of ``M (x) 1^{q-1}`` as a dense matrix: the reference
+    that ``hqext`` diagonalizes one irrep at a time."""
+    ext = np.kron(m, np.eye(db ** (q - 1)))
+    return b_side_twirl(HermitianOperator(ext, Dims((da,) + (db,) * q)), q).matrix
+
+
+def test_hqext_matches_dense_twirl():
+    for da, db, q_max in [(2, 2, 6), (3, 3, 4), (2, 3, 4), (3, 2, 5), (4, 2, 3)]:
+        rng = stream(8, "dense-twirl", da, db)
+        for _ in range(3):
+            m = random_contraction(da * db, rng)
+            op = hermitian(m, (da, db))
+            for q in range(1, q_max + 1):
+                dense = np.linalg.eigvalsh(_dense_twirled(m, da, db, q))[-1]
+                assert abs(hqext(op, CUT, q).value - dense) <= 1e-12, (da, db, q)
+
+
+def test_hqext_antisymmetric_projector_uses_an_antisymmetric_block():
+    # the projector onto the antisymmetric subspace of C^3 (x) C^3 attains 1
+    # at q = 2 on the totally antisymmetric state of A B1 B2; the symmetric
+    # S_2 block alone tops out at 3/4
+    swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]
+    anti = hermitian((np.eye(9) - swap) / 2, (3, 3))
+    res = hqext(anti, CUT, 2)
+    assert abs(res.value - 1.0) <= 1e-12
+    assert res.irrep == (1, 1) and res.block_side == 3 * 3
+
+
+def test_hqext_witness_is_a_top_eigenvector_of_the_dense_twirl():
+    da = db = 3
+    q = 4
+    m = random_contraction(da * db, stream(9, "witness"))
+    res = hqext(hermitian(m, (da, db)), CUT, q)
+    dense = _dense_twirled(m, da, db, q)
+    v = res.witness_vec
+    assert v.shape == (da * db**q,)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert np.linalg.norm(dense @ v - res.value * v) <= 1e-12
+    assert abs(res.value - np.linalg.eigvalsh(dense)[-1]) <= 1e-12
+    pieces = {shape: basis.shape[1] for shape, basis, _, _ in _irrep_blocks(db, q)}
+    assert res.block_side == da * pieces[res.irrep]
+
+
+def _hook_count(shape) -> int:
+    """Number of standard tableaux of ``shape`` (hook-length formula)."""
+    cols = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = math.prod(r - j + cols[j] - i - 1 for i, r in enumerate(shape) for j in range(r))
+    return math.factorial(sum(shape)) // hooks
+
+
+@given(db=st.integers(1, 3), q=st.integers(1, 4))
+def test_irrep_blocks_are_jucys_murphy_eigenspaces(db, q):
+    blocks = _irrep_blocks(db, q)
+    parents = _irrep_blocks(db, q - 1)
+    shapes = [shape for shape, _, _, _ in blocks]
+    assert shapes == sorted(shapes, reverse=True) and len(set(shapes)) == len(shapes)
+    assert all(sum(s) == q and len(s) <= db and list(s) == sorted(s, reverse=True) for s in shapes)
+    assert sum(_hook_count(shape) * basis.shape[1] for shape, basis, _, _ in blocks) == db**q
+    for shape, basis, v, gram in blocks:
+        k = basis.shape[1]
+        assert basis.shape[0] == db**q
+        assert np.abs(basis.conj().T @ basis - np.eye(k)).max() <= 1e-12
+        t = basis.reshape((db,) * q + (k,))
+        # X_j = sum_{i<j} swap(i, j) acts on the piece as the integer content
+        # of the box holding j; those contents grow ``shape`` box by box
+        rows = []
+        for j in range(1, q):
+            xj = sum(np.swapaxes(t, i, j) for i in range(j)).reshape(db**q, k)
+            content = round(float(np.real(np.trace(basis.conj().T @ xj))) / k)
+            assert np.abs(xj - content * basis).max() <= 1e-12, (shape, j)
+            rows.append(content)
+        grown = [1] + [0] * (q - 1)
+        for content in rows:
+            r = next(r for r, n in enumerate(grown) if n - r == content)
+            assert r == 0 or grown[r - 1] > grown[r]
+            grown[r] += 1
+        assert tuple(n for n in grown if n) == shape
+        # the piece is (P (x) 1) v for a parent piece P of one box fewer, and
+        # gram[(b, b'), (j, l)] = sum_{i < q-1} sum_rest conj(P[b at i, rest; j]) P[b' at i, rest; l]
+        kp = v.shape[0]
+        assert v.shape == (kp, db, k)
+        (pshape, parent), = [
+            (ps, p)
+            for ps, p, _, _ in parents
+            if p.shape[1] == kp and np.abs((p @ v.reshape(kp, -1)).reshape(-1, k) - basis).max() <= 1e-12
+        ]
+        assert sum(pshape) == q - 1 and all(a <= b for a, b in zip(pshape, shape))
+        pt = parent.reshape((db,) * (q - 1) + (kp,))
+        at_front = [np.moveaxis(pt, i, 0).reshape(db, -1, kp) for i in range(q - 1)]
+        expected = sum((np.einsum("brk,crl->bckl", f.conj(), f) for f in at_front), np.zeros((db, db, kp, kp)))
+        assert np.abs(gram - expected.reshape(db * db, kp * kp)).max() <= 1e-12
+
+
+def test_hqext_singlet_at_the_cap_stays_small():
+    # side 2 * 2**11 = 4096, the default cap; the dense twirl and its eigh
+    # took 1.3 GB here
+    _irrep_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        res = hqext(SINGLET, CUT, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(res.value - 12 / 22) <= 1e-12
+    assert res.witness_vec.shape == (2 * 2**11,)
+    assert peak < 32 * 2**20, peak
+    with pytest.raises(ResourceCapError, match="q-extension space side 8192"):
+        hqext(SINGLET, CUT, 12)
+
+
+def test_hqext_reaches_every_q_under_the_side_cap():
+    # a 2 x 11 operator at q = 3 has side 2 * 11**3 = 2662, under the default
+    # cap, while its (2, 1) piece has 440 columns: no array of side 11 * 440
+    # is formed.  Both the interval's q sweep and the product-oracle bound
+    # (q = 3, the largest q <= 4 under the cap) reach it.
+    s = np.zeros((2, 11))
+    s[0, 1], s[1, 0] = SINGLET_VEC[1], SINGLET_VEC[2]
+    embedded = hermitian(np.outer(s.reshape(-1), s.reshape(-1)), (2, 11))
+    iv = hsep_certified_interval(embedded, CUT)
+    assert abs(iv.per_q_upper[3] - 2 / 3) <= 1e-12 and abs(iv.lower - 0.5) <= 1e-9
+    assert abs(_product_lmo_upper(embedded.matrix, 2, 11) - 2 / 3) <= 1e-12
 
 
 def test_certified_interval():
