@@ -426,13 +426,19 @@ def permutation_unitary(perm: PermutationSpec, local_dim: int) -> np.ndarray:
     return u
 
 
-def _orbit_classes(n: int, d: int) -> dict:
-    """Group basis indices of ``(C^d)^{x n}`` by their sorted letter multiset."""
-    digits = _digit_table(n, d)
-    classes: dict = {}
-    for idx, row in enumerate(digits):
-        classes.setdefault(tuple(sorted(row)), []).append(idx)
-    return classes
+@functools.lru_cache(maxsize=8)
+def _occupation_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ``(label, counts, sizes)`` of the occupation classes of
+    ``(C^d)^{x n}``: the class of each basis index, and each class's letter
+    counts (smallest unsigned type holding ``n``) and size (multinomial), in
+    the order ``itertools.combinations_with_replacement`` lists them."""
+    strings, label = np.unique(np.sort(_digit_table(n, d), axis=1), axis=0, return_inverse=True)
+    label = label.reshape(-1)
+    counts = (strings[:, :, None] == np.arange(d)).sum(axis=1, dtype=np.min_scalar_type(n))
+    sizes = np.bincount(label)
+    for arr in (label, counts, sizes):
+        arr.setflags(write=False)
+    return label, counts, sizes
 
 
 def _average_permutations(arr: np.ndarray, q: int, offsets) -> np.ndarray:
@@ -480,12 +486,8 @@ def sym_projector(n: int, d: int, method: str = "occupation") -> HermitianOperat
 
 @functools.lru_cache(maxsize=4)
 def _occupation_projector(n: int, d: int) -> HermitianOperator:
-    side = d**n
-    p = np.zeros((side, side), dtype=complex)
-    for members in _orbit_classes(n, d).values():
-        idx = np.asarray(members)
-        p[np.ix_(idx, idx)] = 1.0 / len(idx)
-    return HermitianOperator(p, Dims((d,) * n))
+    label, _, sizes = _occupation_table(n, d)
+    return HermitianOperator(np.divide(label[:, None] == label, sizes[label], dtype=complex), Dims((d,) * n))
 
 
 def sym_rank(n: int, d: int) -> int:

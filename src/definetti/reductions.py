@@ -1,13 +1,14 @@
 """Exact verification of constrained de Finetti reductions.
 
 Every Haar integral appearing in a reduction is evaluated exactly as a Gram
-matrix of symmetric-subspace projections, so each inequality turns into a
-positive-semidefiniteness check of (bound operator - state) with an explicit
-combinatorial prefactor.
+matrix of symmetric-subspace projections, taken in the occupation basis, so
+each inequality turns into a positive-semidefiniteness check of (bound
+operator - state) with an explicit combinatorial prefactor.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ from .operators import (
     Dims,
     HermitianOperator,
     KrausChannel,
-    _average_permutations,
     _digit_table,
+    _occupation_table,
     channel_on_factors,
     check_side,
     haar_state_vector,
@@ -137,32 +138,55 @@ def _require_symmetric_vector(theta: np.ndarray, n: int, d: int) -> None:
             raise ValueError("vector is not permutation symmetric")
 
 
-def _sym_columns(vecs: np.ndarray, m: int, d: int) -> np.ndarray:
-    """Columns ``Y[r, :, b] = P_sym^{2m} (vecs[r] (x) e_b)`` of shape
-    ``(rows, d^{2m}, d^m)``, without building the projector."""
-    dm = d**m
-    arr = np.multiply.outer(vecs, np.eye(dm, dtype=complex))
-    arr = _average_permutations(arr.reshape((len(vecs),) + (d,) * (2 * m) + (dm,)), 2 * m, (1,))
-    return arr.reshape(len(vecs), dm * dm, dm)
+@functools.lru_cache(maxsize=8)
+def _occupation_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(pair, coef, r2)`` for the ``Sym^m`` classes ``c, b``: ``pair[c, b]``
+    is the ``Sym^{2m}`` class of ``c + b`` (one of ``r2``, each such a sum)
+    and ``coef[c, b] = 1 / sqrt(C(c + b))``, ``C`` the class size."""
+    _, counts, _ = _occupation_table(m, d)
+    r = len(counts)
+    sums, pair = np.unique((counts[:, None] + counts.astype(int)).reshape(r * r, d), axis=0, return_inverse=True)
+    fact = np.array([math.factorial(j) for j in range(2 * m + 1)], dtype=float)
+    coef = np.sqrt(np.prod(fact[sums], axis=1) / fact[2 * m])
+    return pair.reshape(r, r), coef[pair].reshape(r, r), len(sums)
+
+
+def _sym_gram(rows: np.ndarray, m: int, d: int) -> np.ndarray:
+    """``G[u, a, v, b] = <rows[v] (x) e_a| P_sym^{2m} |rows[u] (x) e_b>``.
+
+    In the occupation basis ``|S_c> = C(c)^{-1/2} sum_{x in c} |x>``,
+    ``P_sym^m e_b = |S_b> / sqrt(C(b))`` and ``P_sym^{2m} (|S_c> (x) |S_b>)
+    = sqrt(C(c) C(b) / C(c+b)) |S_{c+b}>``, so ``P_sym^{2m} (row (x) e_b)
+    = sum_c s_c / sqrt(C(c+b)) |S_{c+b}>`` with ``s_c`` the row's sum over
+    class ``c``.  ``G`` is the Gram matrix of these coordinate vectors,
+    expanded from classes to basis indices.  Rows need not be symmetric."""
+    label, _, _ = _occupation_table(m, d)
+    pair, coef, r2 = _occupation_pairs(m, d)
+    nrows, r = len(rows), len(pair)
+    sums = np.zeros((nrows, r), dtype=complex)
+    np.add.at(sums, (slice(None), label), rows)
+    # for a fixed class b, c -> c+b is injective: the scatter has no collisions
+    z = np.zeros((nrows, r, r2), dtype=complex)
+    z[:, np.arange(r), pair] = sums[:, :, None] * coef
+    g = np.tensordot(z.conj(), z, axes=(2, 2)).transpose(2, 1, 0, 3)
+    return g[:, label][:, :, :, label]
 
 
 def constrained_moment(theta, n: int, d: int) -> HermitianOperator:
     """Exact Haar integral of ``|<theta|psi^n>|^2 |psi><psi|^n``.
 
     The integral is ``<theta|_1 P_sym^{2n} |theta>_1 / binom(2n+d-1, 2n)``.
-    Since ``P = P^dag P``, its ``(a, b)`` entry is the inner product of the
-    projected columns ``Y_b = P_sym^{2n} (theta (x) e_b)``, so the moment is
-    the Gram matrix ``Y^dag Y`` divided by the binomial; the ``d^{2n}``-side
-    projector itself is never built.  The input must be a unit vector in the
-    n-copy symmetric subspace.
+    Since ``P = P^dag P``, it is the Gram matrix of the projected columns
+    ``P_sym^{2n} (theta (x) e_b)``, taken in the occupation basis of
+    ``Sym^{2n}`` (:func:`_sym_gram`) and divided by the binomial.  The input
+    must be a unit vector in the n-copy symmetric subspace.
     """
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     if theta.size != d**n:
         raise ValueError(f"vector length {theta.size} is not {d}^{n}")
     _require_symmetric_vector(theta, n, d)
     check_side(d ** (2 * n), "degree-2n moment operator")
-    y = _sym_columns(theta[None, :], n, d)[0]
-    out = y.conj().T @ y
+    out = _sym_gram(theta[None, :], n, d)[0, :, 0]
     out /= math.comb(2 * n + d - 1, 2 * n)
     return HermitianOperator((out + out.conj().T) / 2.0, Dims((d,) * n))
 
@@ -224,6 +248,13 @@ def check_pure_reduction(theta, n: int, d: int) -> ReductionCheck:
     )
 
 
+def _h_reduced_bound(theta: np.ndarray, n: int, d: int) -> tuple[HermitianOperator, int]:
+    """H'-reduced exact moment of a purification ``theta`` on ``(H (x) H')^{(x) n}``,
+    ``|H| = |H'| = d``, and its prefactor ``binom(n+d^2-1, n)^3``."""
+    moment = constrained_moment(theta, n, d * d).retagged(Dims((d, d) * n))
+    return partial_trace(moment, range(0, 2 * n, 2)), math.comb(n + d * d - 1, n) ** 3
+
+
 def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> ReductionCheck:
     """PSD check of the mixed-state constrained reduction.
 
@@ -235,12 +266,8 @@ def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> Redu
     """
     d2 = d * d
     theta = symmetric_state_vector(n, d2, seed, "mixed-reduction")
-    dims_full = Dims((d, d) * n)
-    keep_h = [2 * i for i in range(n)]
-    rho = partial_trace_vector(theta, dims_full, keep_h)
-    moment = constrained_moment(theta, n, d2).retagged(dims_full)
-    reduced = partial_trace(moment, keep_h)
-    prefactor = math.comb(n + d2 - 1, n) ** 3
+    rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
+    reduced, prefactor = _h_reduced_bound(theta, n, d)
     rhs = HermitianOperator(prefactor * reduced.matrix, reduced.dims)
     gap = min_eigenvalue(rhs.matrix - rho.matrix)
 
@@ -382,13 +409,7 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
         if np.linalg.norm(np.swapaxes(arr, i, i + 1) - arr) > 1e-12:
             raise ValueError("distribution is not permutation symmetric")
 
-    d2 = d * d
-    theta = _classical_vector(w, d, n)
-    dims_full = Dims((d, d) * n)
-    keep_h = [2 * i for i in range(n)]
-    moment = constrained_moment(theta, n, d2).retagged(dims_full)
-    reduced = partial_trace(moment, keep_h)
-    prefactor = math.comb(n + d2 - 1, n) ** 3
+    reduced, prefactor = _h_reduced_bound(_classical_vector(w, d, n), n, d)
     dephased = channel_on_factors(qc_dephasing_channel(d), reduced, range(n))
     rhs_diag = prefactor * dephased.matrix.diagonal().real
     slack = rhs_diag - w
@@ -398,7 +419,7 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
         rhs_diag=rhs_diag,
         min_slack=float(slack.min()),
         prefactor=prefactor,
-        printed_prefactor=(n + 1) ** (3 * d2),
+        printed_prefactor=(n + 1) ** (3 * d * d),
         passed=bool(slack.min() >= -tol),
         params={"n": n, "d": d},
         tolerance=tol,
@@ -409,30 +430,19 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
 # truncated ambient space
 
 
-def _truncated_multisets(m: int, d: int, big_d: int, min_low: int):
-    for combo in itertools.combinations_with_replacement(range(big_d), m):
-        if sum(1 for j in combo if j < d) >= min_low:
-            yield combo
-
-
 def truncated_symmetric_state_vector(
     n: int, k: int, d: int, big_d: int, seed: int, *labels
 ) -> np.ndarray:
     """Random unit vector symmetric on ``n+k`` copies of ``C^D`` with at
     most ``k`` letters outside the distinguished ``C^d`` subspace."""
     m = n + k
-    side = big_d**m
-    check_side(side, "truncated symmetric vector")
-    rng = stream(seed, "truncated", *labels)
-    digits_strides = big_d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    vec = np.zeros(side, dtype=complex)
-    for combo in _truncated_multisets(m, d, big_d, n):
-        coeff = rng.standard_normal() + 1j * rng.standard_normal()
-        members = set(itertools.permutations(combo))
-        basis = np.zeros(side, dtype=complex)
-        for arrangement in members:
-            basis[int(np.dot(arrangement, digits_strides))] = 1.0
-        vec += coeff * basis / math.sqrt(len(members))
+    check_side(big_d**m, "truncated symmetric vector")
+    label, counts, sizes = _occupation_table(m, big_d)
+    kept = counts[:, :d].sum(axis=1) >= n
+    z = stream(seed, "truncated", *labels).standard_normal((int(kept.sum()), 2))
+    amp = np.zeros(len(sizes), dtype=complex)
+    amp[kept] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sizes[kept])
+    vec = amp[label]
     return vec / np.linalg.norm(vec)
 
 
@@ -463,22 +473,18 @@ def check_truncated_ambient_reduction(
     arr = theta.reshape((big_d,) * m)
     index = np.arange(side).reshape((big_d,) * m)
     rhs = np.zeros((side, side), dtype=complex)
-    d_perp = big_d - d
     for msize in range(n, m + 1):
         check_side(d ** (2 * msize), "degree-2m moment operator")
         norm = math.comb(2 * msize + d - 1, 2 * msize)
-        dm = d**msize
         for subset in itertools.combinations(range(m), msize):
             comp = [i for i in range(m) if i not in subset]
             order = comp + list(subset)
             slicer = tuple(slice(d, big_d) for _ in comp) + tuple(slice(0, d) for _ in subset)
-            block = arr.transpose(order)[slicer].reshape(max(d_perp ** len(comp), 1), dm)
-            y = _sym_columns(block, msize, d)
-            term = np.einsum("vxa,uxb->uavb", y.conj(), y) / norm
+            block = arr.transpose(order)[slicer].reshape(-1, d**msize)
+            term = _sym_gram(block, msize, d) / norm
             # basis indices of the block's entries, comp digits the slow axis
             rows = index.transpose(order)[slicer].reshape(-1)
-            flat = term.reshape(rows.size, rows.size)
-            rhs[np.ix_(rows, rows)] += flat
+            rhs[np.ix_(rows, rows)] += term.reshape(rows.size, rows.size)
 
     prefactor = sum(math.comb(m, q) for q in range(k + 1)) * math.comb(n + d - 1, n) ** 3
     rhs = prefactor * (rhs + rhs.conj().T) / 2.0

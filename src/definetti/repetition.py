@@ -31,6 +31,7 @@ from .operators import (
     partial_trace,
     permute_factors,
     stream,
+    tensor_power,
 )
 from .separability import BipartiteCut, _require_contraction, hqext
 
@@ -899,9 +900,7 @@ def framework_fidelity_from_decay(
     hull_pass = float(hull_threshold_value(family, witness, n, t))
     f_val = family.threshold_decay(alpha)
     two_term = math.exp(-n * (eps - alpha) ** 2) + math.exp(-n * f_val / 2.0)
-    lhs = _fw_fidelity_hull(
-        _kron_power(rho.matrix, n), list(family.product_atoms(n))
-    )
+    lhs = _fw_fidelity_hull(tensor_power(rho.op, n).matrix, list(family.product_atoms(n)))
     passed = lhs <= two_term + 1e-6
     return FrameworkFidelityReport(
         witness=witness,
@@ -916,13 +915,6 @@ def framework_fidelity_from_decay(
         passed=bool(passed),
         params={"family": family.name, "n": n},
     )
-
-
-def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    out = mat
-    for _ in range(n - 1):
-        out = np.kron(out, mat)
-    return out
 
 
 def _closest_hull_trace_norm(rho: np.ndarray, atoms, iters: int = 800) -> np.ndarray:

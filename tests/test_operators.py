@@ -17,6 +17,7 @@ from definetti.operators import (
     HermitianOperator,
     PermutationSpec,
     ResourceCapError,
+    _occupation_table,
     apply_channel,
     b_side_twirl,
     channel_on_factors,
@@ -133,6 +134,26 @@ def test_sym_projector_constructions_agree(n, d):
     avg = sym_projector(n, d, "average")
     assert np.linalg.norm(occ.matrix - avg.matrix) <= 1e-13
     assert abs(occ.trace() - sym_rank(n, d)) < 1e-9
+
+
+@given(n=st.integers(1, 6), d=st.integers(1, 5))
+def test_occupation_table_against_sorted_strings(n, d):
+    assume(d**n <= 1024)
+    label, counts, sizes = _occupation_table(n, d)
+    classes = list(itertools.combinations_with_replacement(range(d), n))
+    assert len(counts) == len(sizes) == len(classes) == sym_rank(n, d)
+    for c, combo in enumerate(classes):
+        assert counts[c].tolist() == [combo.count(j) for j in range(d)]
+        multinomial = math.factorial(n) // math.prod(math.factorial(k) for k in counts[c])
+        assert sizes[c] == multinomial
+    strings = itertools.product(range(d), repeat=n)
+    assert label.tolist() == [classes.index(tuple(sorted(s))) for s in strings]
+    # the projector is exactly the per-class block construction
+    proj = np.zeros((d**n, d**n), dtype=complex)
+    for c in range(len(classes)):
+        idx = np.flatnonzero(label == c)
+        proj[np.ix_(idx, idx)] = 1.0 / len(idx)
+    assert np.array_equal(sym_projector(n, d).matrix, proj)
 
 
 def test_haar_moment_operator_values():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti.operators import (
@@ -24,6 +26,7 @@ from definetti.operators import (
     symmetric_state_vector,
 )
 from definetti.reductions import (
+    _sym_gram,
     check_classical_reduction,
     check_fixed_point_reduction,
     check_integrand_domination,
@@ -137,6 +140,25 @@ def test_constrained_moment_matches_dense_projector(n, d):
     assert np.abs(got - dense).max() < 1e-13
 
 
+@given(
+    m=st.integers(1, 4),
+    d=st.integers(1, 4),
+    nrows=st.integers(1, 3),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sym_gram_matches_dense_projector(m, d, nrows, symmetric, seed):
+    assume(d ** (2 * m) <= 256)
+    dm = d**m
+    rng = stream(seed, "sym-gram")
+    rows = rng.standard_normal((nrows, dm)) + 1j * rng.standard_normal((nrows, dm))
+    if symmetric:
+        rows = rows @ sym_projector(m, d).matrix
+    proj = sym_projector(2 * m, d).matrix.reshape(dm, dm, dm, dm)
+    dense = np.einsum("us,vt,tasb->uavb", rows, rows.conj(), proj)
+    assert np.abs(_sym_gram(rows, m, d) - dense).max() <= 1e-13 * max(np.abs(dense).max(), 1.0)
+
+
 def test_constrained_moment_keeps_side_cap():
     theta = symmetric_state_vector(4, 2, 17)
     set_max_side(255)
@@ -158,7 +180,7 @@ def test_constrained_moment_peak_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert res.passed
-    assert peak < 64 * 2**20, peak
+    assert peak < 2 * 2**20, peak
 
 
 def test_monte_carlo_crosses_a_chunk_boundary():
@@ -362,6 +384,31 @@ def test_truncated_rhs_matches_dense_projector(d, big_d, n, k):
     res = check_truncated_ambient_reduction(n, k, d, big_d, seed=20, theta=theta)
     dense = dense_truncated_rhs(theta, n, k, d, big_d)
     assert np.abs(res.rhs.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def permutation_truncated_vector(n, k, d, big_d, seed):
+    """The truncated vector built class by class from explicit permutations."""
+    m = n + k
+    rng = stream(seed, "truncated")
+    strides = big_d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    vec = np.zeros(big_d**m, dtype=complex)
+    for combo in itertools.combinations_with_replacement(range(big_d), m):
+        if sum(1 for j in combo if j < d) < n:
+            continue
+        coeff = rng.standard_normal() + 1j * rng.standard_normal()
+        members = set(itertools.permutations(combo))
+        basis = np.zeros(big_d**m, dtype=complex)
+        for arrangement in members:
+            basis[int(np.dot(arrangement, strides))] = 1.0
+        vec += coeff * basis / math.sqrt(len(members))
+    return vec / np.linalg.norm(vec)
+
+
+@pytest.mark.parametrize("d,big_d,n,k", [(2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 2), (1, 3, 2, 2)])
+def test_truncated_vector_matches_permutation_construction(d, big_d, n, k):
+    for seed in range(6):
+        got = truncated_symmetric_state_vector(n, k, d, big_d, seed)
+        assert np.array_equal(got, permutation_truncated_vector(n, k, d, big_d, seed))
 
 
 def test_truncated_state_has_low_letter_support():

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from definetti.operators import (
+    ResourceCapError,
     density,
     hermitian,
     identity_operator,
@@ -14,6 +15,7 @@ from definetti.operators import (
     permutation_twirl,
     pure_state_density,
     random_contraction,
+    set_max_side,
     stream,
     tensor_power,
 )
@@ -434,6 +436,14 @@ def test_framework_fidelity_plus_state():
     # the hull pass probability is the exact binomial tail at h = 1 - eta
     assert abs(rep.hull_pass - float(binomial_tail(3, 0.5, rep.threshold))) < 1e-9
     assert rep.rho_fail <= math.exp(-2 * 3 * (rep.eps - rep.alpha) ** 2) + 1e-12
+
+
+def test_framework_fidelity_holds_the_n_copy_state_to_the_side_cap():
+    fam = projective_power_family([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    plus = pure_state_density(np.array([1, 1]) / math.sqrt(2), (2,))
+    set_max_side(4)
+    with pytest.raises(ResourceCapError):
+        framework_fidelity_from_decay(fam, plus, n=3)
 
 
 def test_framework_fidelity_rejects_hull_member():
