@@ -227,10 +227,10 @@ def _dispatch(args, seed: int) -> int:
         )
         if args.sweep_out:
             rows = suites.bound_sweep_rows(
-                delta=float(args.delta),
-                r=float(args.r),
+                delta=args.delta,
+                r=args.r,
                 n_max=args.n,
-                alpha=float(args.alpha) if args.alpha is not None else None,
+                alpha=args.alpha,
                 h_qext_val=args.qext_val,
                 q=args.q,
                 d=args.d,

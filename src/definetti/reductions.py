@@ -191,6 +191,11 @@ def constrained_moment(theta, n: int, d: int) -> HermitianOperator:
     return HermitianOperator((out + out.conj().T) / 2.0, Dims((d,) * n))
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def monte_carlo_constrained_moment(
     theta, n: int, d: int, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +206,7 @@ def monte_carlo_constrained_moment(
     where ``stderr`` combines the entrywise standard errors of the real and
     imaginary parts in quadrature.
     """
+    _require_samples(samples)
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     dn = d**n
     mean = np.zeros((dn, dn), dtype=complex)
@@ -264,6 +270,7 @@ def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> Redu
     H'-reduced exact moment contraction dominates ``rho``.  The per-sample
     overlap-versus-fidelity domination step is verified on Haar samples.
     """
+    _require_samples(samples)
     d2 = d * d
     theta = symmetric_state_vector(n, d2, seed, "mixed-reduction")
     rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
@@ -319,6 +326,7 @@ def check_integrand_domination(
     and reports how much sample mass falls inside the fidelity-``delta``
     neighbourhood of ``tau0`` under the channel.
     """
+    _require_samples(samples)
     n = _copies_of(rho, ch)
     mapped = channel_on_factors(ch, rho.op, range(n))
     target = tensor_power(tau0.op, n)
@@ -358,6 +366,7 @@ def check_fixed_point_reduction(
     Requires ``ch^{(x) n}(rho) = rho``; per sample it checks
     ``F(rho, ch(sigma)^n) >= F(rho, sigma^n)``.
     """
+    _require_samples(samples)
     n = _copies_of(rho, ch)
     mapped = channel_on_factors(ch, rho.op, range(n))
     defect = float(np.linalg.norm(mapped.matrix - rho.matrix))

@@ -29,7 +29,6 @@ from .operators import (
     HermitianOperator,
     check_side,
     partial_trace,
-    permute_factors,
     stream,
     tensor_power,
 )
@@ -184,11 +183,40 @@ def bound_threshold_dim(alpha: float, delta: float, d: int, n: int) -> float:
 # post-measurement disturbance
 
 
-def _conditioned(meas: np.ndarray, state: np.ndarray, dims: Dims, keep, p: float) -> HermitianOperator:
-    """State left on ``keep`` after outcome ``M`` (probability ``p``) when ``M``
-    acts only on the other factors: ``Tr_rest((M rho + rho M) / 2) / p``."""
-    weighted = HermitianOperator((meas @ state + state @ meas) / 2.0, dims)
-    return HermitianOperator(partial_trace(weighted, keep).matrix / p, dims.subset(keep))
+def _local_test(m: np.ndarray, rho: np.ndarray, factors, on) -> np.ndarray:
+    """``Tr_S[(M_S (x) 1) rho]`` for a local test ``M`` on the ordered factor
+    list ``S = on``: the operator left on the other factors (original order),
+    Hermitized, or a 1x1 array holding ``Tr[(M (x) 1) rho]`` when ``S`` is
+    every factor.  Only ``rho`` lives on the whole space."""
+    nf = len(factors)
+    on = [int(i) for i in on]
+    rest = [i for i in range(nf) if i not in on]
+    s = m.shape[0]
+    side = rho.shape[0] // s
+    axes = on + rest + [nf + i for i in on + rest]
+    arr = rho.reshape(tuple(factors) * 2).transpose(axes).reshape(s, side, s, side)
+    out = np.tensordot(m, arr, axes=([0, 1], [2, 0]))
+    return (out + out.conj().T) / 2.0
+
+
+def _pass_pairs(m: HermitianOperator, rho: np.ndarray, n: int, pairs) -> np.ndarray:
+    """Unnormalized state after ``M`` passes on each listed ``(A_i, B_i)`` of an
+    ``A^n B^n`` layout, contracted one pair at a time; the untested pairs keep
+    their ``A^r B^r`` layout."""
+    da, db = m.dims.factors
+    remaining = list(range(n))
+    for i in pairs:
+        r = len(remaining)
+        t = remaining.index(i)
+        rho = _local_test(m.matrix, rho, (da,) * r + (db,) * r, [t, r + t])
+        remaining.remove(i)
+    return rho
+
+
+def _cmi_links(tau: DensityMatrix) -> list:
+    """The links ``I(A_t:B_t|A_<t)`` of the chain on an ``A^r B^r`` state."""
+    r = len(tau.dims) // 2
+    return [conditional_mutual_information(tau, [t], [r + t], list(range(t))) for t in range(r)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +243,11 @@ def post_measurement_update(rho_uv: DensityMatrix, t_on_u: HermitianOperator) ->
     w = _require_contraction(t_on_u.matrix)
     keep_v = list(range(nu, len(rho_uv.dims)))
     dim_v = math.prod(rho_uv.dims.factors[nu:])
-    t_full = np.kron(t_on_u.matrix, np.eye(dim_v))
-    p = float(np.real(np.trace(t_full @ rho_uv.matrix)))
+    passed_v = _local_test(t_on_u.matrix, rho_uv.matrix, rho_uv.dims.factors, range(nu))
+    p = float(np.real(np.trace(passed_v)))
     if p <= 1e-14:
         raise ValueError(f"vanishing outcome probability {p!r}")
-    tau_mat = _conditioned(t_full, rho_uv.matrix, rho_uv.dims, keep_v, p).matrix
+    tau_mat = passed_v / p
     # sqrt(T) Kraus form; identical after the partial trace by cyclicity
     wc = np.clip(w, 0.0, None)
     vecs = np.linalg.eigh(t_on_u.matrix)[1]
@@ -244,35 +272,6 @@ def post_measurement_update(rho_uv: DensityMatrix, t_on_u: HermitianOperator) ->
         kraus_defect=kraus_defect,
         passed=bool(relent <= budget + BUDGET_TOL and kraus_defect <= 1e-9),
     )
-
-
-# ---------------------------------------------------------------------------
-# measurement layout helpers
-
-
-def _interleave_order(n: int) -> list:
-    """Order mapping the interleaved (A1 B1 A2 B2 ...) layout to (A^n, B^n)."""
-    return [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-
-
-def measurement_on_pairs(m: HermitianOperator, n: int, pairs) -> HermitianOperator:
-    """Embed ``M`` on the listed (A_i, B_i) pairs of an ``A^n B^n`` layout.
-
-    ``m`` must be a two-factor operator; identity acts elsewhere.
-    """
-    if len(m.dims) != 2:
-        raise ValueError("base measurement must have exactly two factors (A, B)")
-    da, db = m.dims.factors
-    pairs = set(int(i) for i in pairs)
-    eye_a = np.eye(da, dtype=complex)
-    eye_b = np.eye(db, dtype=complex)
-    eye_pair = np.kron(eye_a, eye_b)
-    block = None
-    for i in range(n):
-        piece = m.matrix if i in pairs else eye_pair
-        block = piece if block is None else np.kron(block, piece)
-    interleaved = HermitianOperator(block, Dims((da, db) * n))
-    return permute_factors(interleaved, _interleave_order(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,24 +310,15 @@ def cmi_chain_check(
         raise ValueError("state factors do not match the measurement")
     _require_contraction(m.matrix)
 
-    state = np.kron(alpha.matrix, beta.matrix)
-    dims = Dims(alpha.dims.factors + beta.dims.factors)
-    meas = measurement_on_pairs(m, n, range(k))
-    p_k = float(np.real(np.trace(meas.matrix @ state)))
+    after = _pass_pairs(m, np.kron(alpha.matrix, beta.matrix), n, range(k))
+    p_k = float(np.real(np.trace(after)))
     if p_k <= 1e-14:
         raise ValueError(f"vanishing pass probability {p_k!r}")
-    keep = list(range(k, n)) + list(range(n + k, 2 * n))
-    tau = DensityMatrix(_conditioned(meas.matrix, state, dims, keep, p_k))
     r = n - k
-    a_pos = list(range(r))
-    b_pos = list(range(r, 2 * r))
-    links = []
-    chain_sum = 0.0
-    for t in range(r):
-        val = conditional_mutual_information(tau, [a_pos[t]], [b_pos[t]], a_pos[:t])
-        links.append(val)
-        chain_sum += val
-    joint_mi = mutual_information(tau, a_pos, b_pos)
+    tau = DensityMatrix(HermitianOperator(after / p_k, Dims((da,) * r + (db,) * r)))
+    links = _cmi_links(tau)
+    chain_sum = sum(links)
+    joint_mi = mutual_information(tau, list(range(r)), list(range(r, 2 * r)))
     alpha_rest = partial_trace(alpha.op, list(range(k, n)))
     beta_rest = partial_trace(beta.op, list(range(k, n)))
     relent = relative_entropy(tau, np.kron(alpha_rest.matrix, beta_rest.matrix))
@@ -505,9 +495,8 @@ def recursive_conditioning_demo(
     rng = stream(seed, "conditioning", selection)
 
     state = np.kron(alpha.matrix, beta.matrix)
-    full_dims = Dims(alpha.dims.factors + beta.dims.factors)
     remaining = list(range(n))
-    tau = DensityMatrix(HermitianOperator(state, full_dims))
+    tau = DensityMatrix(HermitianOperator(state, Dims(alpha.dims.factors + beta.dims.factors)))
     p_prev = 1.0
     steps = []
     per_step_ok = True
@@ -527,25 +516,19 @@ def recursive_conditioning_demo(
         if selection == "greedy_min_mi" and surrogate > averaged_bound + CONDITIONING_TOL:
             per_step_ok = False
 
-        meas = measurement_on_pairs(m, r, [t_choice])
-        ratio = float(np.real(np.trace(meas.matrix @ tau.matrix)))
+        after = _pass_pairs(m, tau.matrix, r, [t_choice])
+        ratio = float(np.real(np.trace(after)))
         if ratio <= 1e-14:
             break
-        keep = [t for t in range(r) if t != t_choice] + [r + t for t in range(r) if t != t_choice]
         p_k = p_prev * ratio
         # exact reconstruction of p_k from scratch on the untouched input
         tested = [i for i in range(n) if i not in remaining] + [chosen]
-        direct = float(
-            np.real(np.trace(measurement_on_pairs(m, n, tested).matrix @ state))
-        )
+        direct = float(np.real(np.trace(_pass_pairs(m, state, n, tested))))
         ratio_defect = max(ratio_defect, abs(direct - p_k))
         if k < n:
-            tau = DensityMatrix(_conditioned(meas.matrix, tau.matrix, tau.dims, keep, ratio))
-            rr = r - 1
-            chain_value = sum(
-                conditional_mutual_information(tau, [t], [rr + t], list(range(t)))
-                for t in range(rr)
-            )
+            rest = Dims((da,) * (r - 1) + (db,) * (r - 1))
+            tau = DensityMatrix(HermitianOperator(after / ratio, rest))
+            chain_value = sum(_cmi_links(tau))
         else:
             chain_value = 0.0
         chain_budget = math.log2(1.0 / p_k)

@@ -422,6 +422,8 @@ def _interval_from_seesaw(
     """``hsep_certified_interval`` around a seesaw result already computed for
     ``(m, cut)``; that call has checked ``0 <= M <= 1``, so it is not
     repeated here."""
+    if q_max < 1:
+        raise ValueError(f"q_max must be >= 1, got {q_max}")
     matrix, da, db = _regroup(m, cut)
     per_q = {q: _hqext_regrouped(matrix, da, db, q).value for q in range(1, q_max + 1)}
     q_used = min(per_q, key=lambda q: (per_q[q], q))

@@ -266,6 +266,30 @@ def _exact_decimal(fr: Fraction) -> str | None:
     return sign + (digits[:-shift] + "." + digits[-shift:]).rstrip("0").rstrip(".")
 
 
+def _bound_curves(delta, r, alpha=None, h_qext_val=None, q=None, d=None) -> list:
+    """Every closed-form bound the inputs select, as ``(anchor, params,
+    value(n))`` in report order; ``delta``, ``r`` and ``alpha`` are read as
+    exact decimals."""
+    delta = float(Fraction(str(delta)))
+    r = float(Fraction(str(r)))
+    alpha = float(Fraction(str(alpha))) if alpha is not None else delta
+    curves = [
+        ("tensor-power-decay-bound", {"delta": delta, "r": r},
+         lambda n: repetition.bound_hsep_power(delta, r, n)),
+        ("threshold-concentration-bound", {"alpha": alpha, "r": r},
+         lambda n: repetition.bound_threshold(alpha, r, n)),
+    ]
+    if h_qext_val is not None and q:
+        curves.append(("qext-decay-bound", {"h_qext": h_qext_val, "q": q},
+                       lambda n: repetition.bound_qext_power(h_qext_val, q, n)))
+    if d:
+        curves.append(("dimension-decay-bound", {"delta": delta, "d": d},
+                       lambda n: repetition.bound_sep_dim(delta, d, n)))
+        curves.append(("dimension-threshold-bound", {"alpha": alpha, "delta": delta, "d": d},
+                       lambda n: repetition.bound_threshold_dim(alpha, delta, d, n)))
+    return curves
+
+
 def repetition_bounds_records(
     delta: float | str = 0.5,
     r: float | str = 1.0,
@@ -277,98 +301,32 @@ def repetition_bounds_records(
     seed: int = 0,
 ):
     """Closed-form bound values; the algebraic power bound also in exact form."""
+    records = [
+        record("repetition-bounds", anchor, {**params, "n": n}, seed, value=value(n))
+        for anchor, params, value in _bound_curves(delta, r, alpha, h_qext_val, q, d)
+    ]
     delta_f = Fraction(str(delta))
     r_f = Fraction(str(r))
     exact = (1 - delta_f**2 / (5 * r_f**2)) ** n
-    records = [
-        record(
-            "repetition-bounds",
-            "tensor-power-decay-bound",
-            {
-                "delta": float(delta_f),
-                "r": float(r_f),
-                "n": n,
-                "value_exact": _exact_decimal(exact) or str(exact),
-            },
-            seed,
-            value=repetition.bound_hsep_power(float(delta_f), float(r_f), n),
-        )
-    ]
-    alpha_f = Fraction(str(alpha)) if alpha is not None else delta_f
-    records.append(
-        record(
-            "repetition-bounds",
-            "threshold-concentration-bound",
-            {"alpha": float(alpha_f), "r": float(r_f), "n": n},
-            seed,
-            value=repetition.bound_threshold(float(alpha_f), float(r_f), n),
-        )
-    )
-    if h_qext_val is not None and q:
-        records.append(
-            record(
-                "repetition-bounds",
-                "qext-decay-bound",
-                {"h_qext": h_qext_val, "q": q, "n": n},
-                seed,
-                value=repetition.bound_qext_power(h_qext_val, q, n),
-            )
-        )
-    if d:
-        records.append(
-            record(
-                "repetition-bounds",
-                "dimension-decay-bound",
-                {"delta": float(delta_f), "d": d, "n": n},
-                seed,
-                value=repetition.bound_sep_dim(float(delta_f), d, n),
-            )
-        )
-        records.append(
-            record(
-                "repetition-bounds",
-                "dimension-threshold-bound",
-                {"alpha": float(alpha_f), "delta": float(delta_f), "d": d, "n": n},
-                seed,
-                value=repetition.bound_threshold_dim(float(alpha_f), float(delta_f), d, n),
-            )
-        )
+    # the first curve is always the tensor-power bound
+    records[0]["params"]["value_exact"] = _exact_decimal(exact) or str(exact)
     return records
 
 
 def bound_sweep_rows(
-    delta: float,
-    r: float,
+    delta: float | str,
+    r: float | str,
     n_max: int,
-    alpha: float | None = None,
+    alpha: float | str | None = None,
     h_qext_val: float | None = None,
     q: int | None = None,
     d: int | None = None,
-    experiment: dict | None = None,
 ):
-    """Plot-ready rows (n, bound_name, value, experiment_value) over 0..n_max.
-
-    ``experiment`` optionally maps ``(bound_name, n)`` to a measured value to
-    place alongside the curve.
-    """
-    experiment = experiment or {}
-    curves = {
-        "tensor-power-decay-bound": lambda n: repetition.bound_hsep_power(delta, r, n),
-        "threshold-concentration-bound": lambda n: repetition.bound_threshold(
-            alpha if alpha is not None else delta, r, n
-        ),
-    }
-    if h_qext_val is not None and q:
-        curves["qext-decay-bound"] = lambda n: repetition.bound_qext_power(h_qext_val, q, n)
-    if d:
-        curves["dimension-decay-bound"] = lambda n: repetition.bound_sep_dim(delta, d, n)
-    rows = []
-    for n in range(n_max + 1):
-        for name in sorted(curves):
-            value = curves[name](n)
-            exp_val = experiment.get((name, n), "")
-            rows.append((n, name, repr(value), exp_val if exp_val == "" else repr(exp_val)))
-    return rows
+    """Plot-ready rows ``(n, bound_name, value, experiment_value)`` over
+    ``0..n_max`` for the bounds :func:`repetition_bounds_records` reports;
+    ``experiment_value`` is left empty."""
+    curves = sorted(_bound_curves(delta, r, alpha, h_qext_val, q, d), key=lambda c: c[0])
+    return [(n, anchor, repr(value(n)), "") for n in range(n_max + 1) for anchor, _, value in curves]
 
 
 def conditioning_suite(

@@ -179,6 +179,31 @@ def test_repetition_bounds_sweep_csv(tmp_path):
     assert any(line.startswith("0,") and ",1.0," in line for line in lines[1:])
 
 
+def test_repetition_bounds_sweep_names_every_record(tmp_path):
+    sweep = tmp_path / "sweep.csv"
+    code, blob = run(
+        tmp_path,
+        "repetition-bounds",
+        "--d", "2", "--qext-val", "0.75", "--q", "2", "--n", "3",
+        "--sweep-out", str(sweep),
+    )
+    assert code == 0
+    anchors = {r["anchor"] for r in json.loads(blob)}
+    rows = sweep.read_text().splitlines()[1:]
+    assert {line.split(",")[1] for line in rows} == anchors
+    assert len(anchors) == 5 and len(rows) == 4 * len(anchors)
+
+
+def test_hsep_q_max_zero_means_no_interval(tmp_path, singlet_file, capsys):
+    code, blob = run(tmp_path, "hsep", "--op", singlet_file, "--restarts", "2", "--q-max", "0")
+    assert code == 0
+    assert [r["anchor"] for r in json.loads(blob)] == ["separability-support-seesaw"]
+    code, _ = run(tmp_path, "hsep", "--op", singlet_file, "--restarts", "2", "--q-max", "-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("definetti: ") and "q_max" in err and err.count("\n") == 1, err
+
+
 def test_conditioning_demo_cli(tmp_path):
     traj = tmp_path / "traj.csv"
     code, blob = run(

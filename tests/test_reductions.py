@@ -192,6 +192,12 @@ def test_monte_carlo_crosses_a_chunk_boundary():
     assert (np.abs(mean - exact) <= 5 * stderr + 1e-12).all()
 
 
+def test_monte_carlo_moment_rejects_no_samples():
+    theta = symmetric_state_vector(2, 2, 19)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        monte_carlo_constrained_moment(theta, 2, 2, samples=0, seed=19)
+
+
 def test_pure_reduction_examples():
     theta = np.zeros(4)
     theta[0] = 1.0
@@ -220,6 +226,11 @@ def test_mixed_reduction():
     # the reduced state is permutation invariant by construction
     rho = res.lhs
     assert np.linalg.norm(permutation_twirl(rho, 2).matrix - rho.matrix) < 1e-12
+
+
+def test_mixed_reduction_rejects_no_samples():
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_mixed_reduction(2, 2, seed=3, samples=0)
 
 
 def test_integrand_domination_identity_channel():
@@ -259,6 +270,13 @@ def test_integrand_domination_precondition():
         check_integrand_domination(rho, identity_channel((2,)), tau0, samples=5)
 
 
+def test_integrand_domination_rejects_no_samples():
+    tau0 = induced_mixed_state((2,), 7)
+    rho = density(np.kron(tau0.matrix, tau0.matrix), (2, 2))
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_integrand_domination(rho, identity_channel((2,)), tau0, samples=0)
+
+
 def test_fixed_point_identity_channel():
     rho = induced_mixed_state((2, 2), 11)
     res = check_fixed_point_reduction(rho, identity_channel((2,)), samples=30, seed=11)
@@ -280,6 +298,12 @@ def test_fixed_point_dephasing_diagonal_state():
     rho = density(np.diag(w), (2, 2))
     res = check_fixed_point_reduction(rho, ch, samples=100, seed=13)
     assert res.passed
+
+
+def test_fixed_point_rejects_no_samples():
+    rho = induced_mixed_state((2, 2), 11)
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        check_fixed_point_reduction(rho, identity_channel((2,)), samples=0)
 
 
 def test_classical_reduction_uniform():

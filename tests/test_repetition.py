@@ -3,24 +3,32 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti.operators import (
+    HermitianOperator,
     ResourceCapError,
     density,
     hermitian,
     identity_operator,
     induced_mixed_state,
     min_eigenvalue,
+    partial_trace,
     permutation_twirl,
+    permute_factors,
     pure_state_density,
     random_contraction,
+    random_hermitian,
     set_max_side,
     stream,
+    tensor,
     tensor_power,
 )
 from definetti.repetition import (
     RECURSION_TOL,
+    _local_test,
     PiecewiseTable,
     binomial_tail,
     bound_hsep_power,
@@ -33,7 +41,6 @@ from definetti.repetition import (
     framework_fidelity_from_decay,
     hoeffding_tail,
     hull_threshold_tails,
-    measurement_on_pairs,
     post_measurement_update,
     projective_power_family,
     recursive_conditioning_demo,
@@ -190,15 +197,31 @@ def test_cmi_chain_random_instances():
             assert rep.passed, (i, k)
 
 
-def test_measurement_on_pairs_layout():
-    # M on pair 0 of two copies equals M (x) 1 after regrouping to A^2 B^2
-    m = hermitian(random_contraction(4, stream(9, "m")), (2, 2))
-    emb = measurement_on_pairs(m, 2, [0])
-    m4 = m.matrix.reshape(2, 2, 2, 2)
-    expect = np.einsum(
-        "aibj,AB,IJ->aAiIbBjJ", m4, np.eye(2), np.eye(2)
-    ).reshape(16, 16)
-    assert_allclose(emb.matrix, expect, atol=1e-13)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_local_test_contraction_matches_dense_reference(dims, data, seed):
+    # Tr_S[(M_S (x) 1) rho] against M (x) 1 placed with permute_factors, a dense
+    # product and partial_trace; S is any ordered factor list, so it may be
+    # non-contiguous, reversed or every factor
+    nf = len(dims)
+    on = data.draw(st.permutations(range(nf)))[: data.draw(st.integers(1, nf))]
+    rest = [i for i in range(nf) if i not in on]
+    rng = stream(seed, "local-test")
+    rho = induced_mixed_state(dims, seed, "local-test")
+    local = [dims[i] for i in on]
+    m = hermitian(random_hermitian(math.prod(local), rng), local)
+    placed = tensor(m, identity_operator([dims[i] for i in rest])) if rest else m
+    placed = permute_factors(placed, [(on + rest).index(j) for j in range(nf)])
+    product = HermitianOperator(placed.matrix @ rho.matrix, rho.dims)
+    if rest:
+        expect = partial_trace(product, rest).matrix
+    else:
+        expect = np.trace(product.matrix).reshape(1, 1)
+    got = _local_test(m.matrix, rho.matrix, dims, on)
+    assert_allclose(got, expect, rtol=0, atol=1e-12)
 
 
 # -- scalar recursion ---------------------------------------------------------

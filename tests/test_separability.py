@@ -422,6 +422,12 @@ def test_certified_interval():
     assert abs(res.delta_certified - 0.375) < 1e-9
 
 
+def test_certified_interval_rejects_empty_q_range():
+    for q_max in (0, -1):
+        with pytest.raises(ValueError, match="q_max must be >= 1"):
+            hsep_certified_interval(SINGLET, CUT, q_max=q_max, restarts=2)
+
+
 def test_hsep_records_interval_reuses_seesaw():
     m = hermitian(random_contraction(4, stream(13, "records")), (2, 2))
     records, res = suites.hsep_records(m, CUT, restarts=8, seed=2, q_max=3)
