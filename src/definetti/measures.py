@@ -76,6 +76,15 @@ def _fidelity_from_root(root: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sqrt(w).sum())
 
 
+def _root_fidelities(inner: np.ndarray) -> np.ndarray:
+    """``_fidelity_from_root`` over a stack of Hermitian ``sqrt(rho) sigma
+    sqrt(rho)``: one stacked ``eigvalsh``, with the same PSD raise."""
+    w = np.linalg.eigvalsh(inner)
+    if w[:, 0].min() < -EIG_CLIP_TOL:
+        raise ValueError(f"operator is not PSD: minimum eigenvalue {w[:, 0].min():.3e}")
+    return np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+
+
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
     diff = _matrix(rho) - _matrix(sigma)
@@ -188,24 +197,22 @@ class Povm:
     labels: tuple = ()
 
     def __post_init__(self):
-        elems = tuple(np.array(_matrix(e), dtype=complex) for e in self.elements)
+        elems = [_matrix(e) for e in self.elements]
         if not elems:
             raise ValueError("a POVM needs at least one element")
         side = elems[0].shape[0]
-        for e in elems:
-            if e.shape != (side, side):
-                raise ValueError("POVM elements must share one square shape")
-            if np.linalg.eigvalsh((e + e.conj().T) / 2.0)[0] < -EIG_CLIP_TOL:
-                raise ValueError("POVM element is not PSD")
-        total = sum(elems)
-        if np.linalg.norm(total - np.eye(side)) > 1e-10:
+        if any(e.shape != (side, side) for e in elems):
+            raise ValueError("POVM elements must share one square shape")
+        stack = np.array(elems, dtype=complex)
+        if (np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)[:, 0] < -EIG_CLIP_TOL).any():
+            raise ValueError("POVM element is not PSD")
+        if np.linalg.norm(stack.sum(axis=0) - np.eye(side)) > 1e-10:
             raise ValueError("POVM elements do not sum to the identity")
         labels = self.labels or tuple(range(len(elems)))
         if len(labels) != len(elems):
             raise ValueError("one label per element required")
-        for e in elems:
-            e.setflags(write=False)
-        object.__setattr__(self, "elements", elems)
+        stack.setflags(write=False)
+        object.__setattr__(self, "elements", tuple(stack))
         object.__setattr__(self, "labels", tuple(labels))
 
     @property
@@ -241,11 +248,13 @@ class ClassicalDistribution:
         return cls(np.asarray(weights, dtype=float), normalized=normalized)
 
 
-def classical_fidelity(p, q) -> float:
-    """Bhattacharyya overlap ``sum_i sqrt(p_i q_i)``."""
+def classical_fidelity(p, q):
+    """Bhattacharyya overlap ``sum_i sqrt(p_i q_i)``, over the last axis: a
+    stack of ``q`` rows gives an array of overlaps, one ``q`` a float."""
     pw = p.weights if isinstance(p, ClassicalDistribution) else np.asarray(p, dtype=float)
     qw = q.weights if isinstance(q, ClassicalDistribution) else np.asarray(q, dtype=float)
-    return float(np.sqrt(pw * qw).sum())
+    overlap = np.sqrt(pw * qw).sum(axis=-1)
+    return float(overlap) if overlap.ndim == 0 else overlap
 
 
 def classical_trace_distance(p, q) -> float:

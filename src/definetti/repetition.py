@@ -490,6 +490,8 @@ def recursive_conditioning_demo(
     n = len(alpha.dims)
     if len(beta.dims) != n:
         raise ValueError("alpha and beta must have one factor per test")
+    if any(f != da for f in alpha.dims) or any(f != db for f in beta.dims):
+        raise ValueError("state factors do not match the measurement")
     cut = BipartiteCut((0,), (1,))
     h_q = hqext(m, cut, q).value
     rng = stream(seed, "conditioning", selection)

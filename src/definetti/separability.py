@@ -19,7 +19,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .measures import Povm, _fidelity_from_root, _sqrtm_psd, classical_fidelity, fidelity, outcome_distribution
+from .measures import (
+    Povm,
+    _fidelity_from_root,
+    _root_fidelities,
+    _sqrtm_psd,
+    classical_fidelity,
+    fidelity,
+    outcome_distribution,
+)
 from .operators import (
     DensityMatrix,
     Dims,
@@ -160,23 +168,15 @@ class MeasuredUpperResult:
     iterations: int
 
 
+def _fix_phase(vec: np.ndarray) -> np.ndarray:
+    """``vec`` rotated so that its largest-magnitude entry is real and positive."""
+    k = int(np.argmax(np.abs(vec)))
+    return vec * (vec[k] / abs(vec[k])).conjugate()
+
+
 def _top_eigpair(mat: np.ndarray) -> tuple[float, np.ndarray]:
     w, v = np.linalg.eigh(mat)
-    vec = v[:, -1]
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    return float(w[-1]), vec * phase.conjugate()
-
-
-def _top_eigpairs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_top_eigpair`` over a stack ``(R, n, n)``: one batched ``eigh``, and
-    each top eigenvector rotated so its largest-magnitude entry is real and
-    positive."""
-    w, v = np.linalg.eigh(mats)
-    vecs = v[:, :, -1]
-    k = np.argmax(np.abs(vecs), axis=1)
-    pivot = vecs[np.arange(len(vecs)), k]
-    return w[:, -1], vecs * (pivot / np.abs(pivot)).conj()[:, None]
+    return float(w[-1]), _fix_phase(v[:, -1])
 
 
 def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -205,9 +205,10 @@ def _seesaw_product_max(
     iteration.  All starts (``initial_points`` first, then ``restarts``
     seeded ones) run in lock-step: each half-step is one matrix product for
     the local contractions of every active start and one stacked ``eigh``.
-    A start stops on its own once its value gains less than ``SEESAW_STOP``;
-    ``iterations`` sums the per-start counts.  Ties between starts resolve to
-    the lowest index.
+    The contractions use ``conj(x) (x) x``, blind to phases, so only the
+    returned pair goes through ``_fix_phase``.  A start stops on its own
+    once its value gains less than ``SEESAW_STOP``; ``iterations`` sums the
+    per-start counts.  Ties between starts resolve to the lowest index.
     """
     starts = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in initial_points]
     for r in range(restarts):
@@ -221,25 +222,30 @@ def _seesaw_product_max(
     ka_t = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db).T
     kb_t = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da).T
     n = len(starts)
-    values = np.full(n, -np.inf)
-    iters = np.zeros(n, dtype=int)
-    converged = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    for _ in range(max_iters):
-        iters[active] += 1
-        _, A[active] = _top_eigpairs((_outer_rows(B[active]) @ ka_t).reshape(-1, da, da))
-        new, B[active] = _top_eigpairs((_outer_rows(A[active]) @ kb_t).reshape(-1, db, db))
-        done = new - values[active] < SEESAW_STOP
-        values[active] = np.where(done, np.maximum(values[active], new), new)
-        converged[active[done]] = True
-        active = active[~done]
-        if not active.size:
-            break
+    values, iters, converged = np.empty(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+    # the active starts' rows, in index order, and their last values
+    active, a, b, last = np.arange(n), A, B, np.full(n, -np.inf)
+    for it in range(1, max_iters + 1):
+        a = np.linalg.eigh((_outer_rows(b) @ ka_t).reshape(-1, da, da))[1][:, :, -1]
+        w, v = np.linalg.eigh((_outer_rows(a) @ kb_t).reshape(-1, db, db))
+        new, b = w[:, -1], v[:, :, -1]
+        done = new - last < SEESAW_STOP
+        if done.any():
+            stop = active[done]
+            A[stop], B[stop], iters[stop] = a[done], b[done], it
+            values[stop] = np.maximum(last[done], new[done])
+            converged[stop] = True
+            active, a, b, new = active[~done], a[~done], b[~done], new[~done]
+            if not active.size:
+                break
+        last = new
+    else:
+        A[active], B[active], values[active], iters[active] = a, b, last, max_iters
     best = 0
     for r in range(1, n):
         if values[r] > values[best] + 1e-15:
             best = r
-    a, b = A[best], B[best]
+    a, b = _fix_phase(A[best]), _fix_phase(B[best])
     value = float(np.real(np.vdot(np.kron(a, b), matrix @ np.kron(a, b))))
     return SeesawResult(
         value=value,
@@ -469,25 +475,27 @@ def _fidelity_gradient(rho_sqrt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _golden_max(f, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    candidates = [(f(lo), lo), (fc, c), (fd, d), (f(hi), hi)]
-    best = max(candidates, key=lambda p: p[0])
-    return best[1], best[0]
+def _line_max(f, x0: np.ndarray, x1: np.ndarray) -> tuple[float, float]:
+    """``(t, value)`` maximizing ``f((1 - t) x0 + t x1)`` over ``[0, 1]``, for a
+    unimodal ``f`` evaluated on stacks of points.  After both ends, each round
+    evaluates 16 evenly spaced interior points of the bracket in one call and
+    keeps the best one's two grid neighbours: 11 rounds reach width ``1e-10``.
+    A later point replaces the best only when strictly better."""
+
+    def values(ts):
+        return f(np.multiply.outer(1.0 - ts, x0) + np.multiply.outer(ts, x1))
+
+    ends = values(np.array([0.0, 1.0]))
+    t_best, f_best = (0.0, ends[0]) if ends[0] >= ends[1] else (1.0, ends[1])
+    lo, hi, grid = 0.0, 1.0, np.linspace(0.0, 1.0, 18)
+    while hi - lo > 1e-10:
+        ts = lo + (hi - lo) * grid
+        vals = values(ts[1:-1])
+        i = int(np.argmax(vals))
+        if vals[i] > f_best:
+            t_best, f_best = ts[i + 1], vals[i]
+        lo, hi = ts[i], ts[i + 2]
+    return float(t_best), float(f_best)
 
 
 def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
@@ -495,7 +503,9 @@ def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
 
     Starts at the uniform mixture of ``atoms``, ``(label, atom_matrix)``
     pairs; in round ``it`` the oracle ``lmo(grad, it)`` returns the pair
-    maximizing ``<grad, atom>``, mixed in by golden-section line search.
+    maximizing ``<grad, atom>``, mixed in by an exact line search on the
+    segment between ``sqrt(rho) sigma sqrt(rho)`` and ``sqrt(rho) atom
+    sqrt(rho)`` (``_line_max``, one stacked ``eigvalsh`` a search round).
     Converged once the linearized or the line-search gain is at most
     ``FW_STOP``.  The result's ``atoms`` are labels.
     """
@@ -512,7 +522,8 @@ def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
         if float(np.real(np.trace(grad @ (atom - sigma)))) <= FW_STOP:
             converged = True
             break
-        t_best, f_best = _golden_max(lambda t: _fidelity_from_root(rho_sqrt, (1.0 - t) * sigma + t * atom))
+        x0, x1 = (rho_sqrt @ x @ rho_sqrt for x in (sigma, atom))
+        t_best, f_best = _line_max(_root_fidelities, (x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
         if f_best <= value + FW_STOP:
             converged = True
             break
@@ -545,7 +556,7 @@ def max_fidelity_to_sep(
     The concave objective ``sigma -> F(rho, sigma)`` is maximized over the
     separable hull from ``I/dim``: each step maximizes the gradient over
     pure products by seesaw (seed ``seed + it`` in round ``it``) and mixes
-    the new atom in by exact golden-section line search.  The returned
+    the new atom in by an exact line search (``_line_max``).  The returned
     mixture is separable by construction and re-evaluates to the reported
     value.
     """
@@ -570,32 +581,27 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.clip(w - theta, 0.0, None)
 
 
-def _min_norm_weights(points: np.ndarray) -> np.ndarray:
+def _min_norm_weights(points: np.ndarray, start: np.ndarray | None = None) -> np.ndarray:
     """Simplex weights ``w`` minimizing ``||w @ points||`` over the rows.
 
     Wolfe's minimum-norm-point method (Math. Programming 11, 1976): the
-    corral grows by the point least correlated with ``x = w @ points``;
-    its affine minimum-norm point is a least-squares solve on differences
-    (no Gram matrix, so repeated or affinely dependent points are fine),
-    stepping back and dropping points while an affine weight is not
-    positive.  Stops at ``min_j <p_j, x> >= ||x||^2 - 1e-14 max_j ||p_j||^2``
-    or when rounding stalls the descent.
+    corral starts at the shortest point, or at the support of the simplex
+    weights ``start``, and grows by the point least correlated with
+    ``x = w @ points``.  Each cycle first moves to the corral's affine
+    minimum-norm point, a least-squares solve on differences (no Gram
+    matrix, so repeated or affinely dependent points are fine), stepping
+    back and dropping points while an affine weight is not positive.  Stops
+    at ``min_j <p_j, x> >= ||x||^2 - 1e-14 max_j ||p_j||^2`` or when
+    rounding stalls the descent.
     """
     pts = np.concatenate([points.real, points.imag], axis=1) if np.iscomplexobj(points) else points
     sq = (pts * pts).sum(axis=1)
     tol = 1e-14 * max(float(sq.max()), 1e-300)
-    corral = [int(np.argmin(sq))]
-    lam = np.ones(1)
+    corral = [int(np.argmin(sq))] if start is None else np.flatnonzero(start > 0).tolist()
+    lam = np.ones(1) if start is None else start[corral] / start[corral].sum()
+    prev, norm2 = (corral, lam), np.inf
     for _ in range(8 * len(pts) + 8):
-        x = lam @ pts[corral]
-        corr = pts @ x
-        norm2 = x @ x
-        j = int(np.argmin(corr))
-        if corr[j] >= norm2 - tol or j in corral:
-            break
-        prev = corral, lam
-        corral, lam = corral + [j], np.append(lam, 0.0)
-        while True:
+        while len(corral) > 1:
             base = pts[corral[0]]
             rest = np.linalg.lstsq((pts[corral[1:]] - base).T, -base, rcond=None)[0]
             mu = np.concatenate([[1.0 - rest.sum()], rest])
@@ -613,6 +619,13 @@ def _min_norm_weights(points: np.ndarray) -> np.ndarray:
         if x @ x >= norm2:
             corral, lam = prev
             break
+        norm2 = x @ x
+        corr = pts @ x
+        j = int(np.argmin(corr))
+        if corr[j] >= norm2 - tol or j in corral:
+            break
+        prev = corral, lam
+        corral, lam = corral + [j], np.append(lam, 0.0)
     weights = np.zeros(len(pts))
     weights[corral] = lam
     return weights
@@ -630,9 +643,10 @@ def hs_distance_to_sep(
     Maintains a separable iterate as an explicit mixture, starting at
     ``I/dim``; each round adds the product state maximizing the correlation
     with the residual (seesaw oracle) and re-solves the mixture weights on
-    the accumulated atoms exactly (``_min_norm_weights``), so the distance
-    estimate is monotone non-increasing.  ``converged`` says whether the
-    oracle's gain fell to 1e-13 before ``iters`` rounds ran out.
+    the accumulated atoms exactly (``_min_norm_weights``, started from the
+    previous round's weights), so the distance estimate is monotone
+    non-increasing.  ``converged`` says whether the oracle's gain fell to
+    1e-13 before ``iters`` rounds ran out.
     """
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
@@ -652,7 +666,7 @@ def hs_distance_to_sep(
             break
         atoms.append((step.a_vec, step.b_vec))
         basis = np.vstack([basis, atom])
-        weights = _min_norm_weights(basis - target)
+        weights = _min_norm_weights(basis - target, np.append(weights, 0.0))
     keep = weights > 1e-15
     return MixtureResult(
         value=float(np.linalg.norm(target - weights @ basis)),
@@ -665,14 +679,15 @@ def hs_distance_to_sep(
 
 
 def product_povm(povm_a: Povm, povm_b: Povm) -> Povm:
-    """Tensor product of two local POVMs (a separable POVM by construction)."""
-    elements = []
-    labels = []
-    for la, ea in zip(povm_a.labels, povm_a.elements):
-        for lb, eb in zip(povm_b.labels, povm_b.elements):
-            elements.append(np.kron(ea, eb))
-            labels.append((la, lb))
-    return Povm(tuple(elements), tuple(labels))
+    """Tensor product of two local POVMs (a separable POVM by construction):
+    elements ``kron(a_x, b_y)`` labelled ``(label_x, label_y)``, ``x`` major,
+    formed in one broadcast."""
+    a, b = np.stack(povm_a.elements), np.stack(povm_b.elements)
+    (na, da, _), (nb, db, _) = a.shape, b.shape
+    # joint[x, y, i, k, j, l] = a[x, i, j] b[y, k, l] = kron(a_x, b_y)[(i, k), (j, l)]
+    joint = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    labels = tuple((la, lb) for la in povm_a.labels for lb in povm_b.labels)
+    return Povm(tuple(joint.reshape(na * nb, da * db, da * db)), labels)
 
 
 def pauli_tomography_povm() -> Povm:
@@ -725,8 +740,8 @@ def measured_fidelity_to_sep_upper(
         raise ValueError("POVM does not match the cut dimensions")
     p = outcome_distribution(povm, matrix)
     dim = da * db
-    elems = np.stack([e for e in povm.elements])
-    elems_t_flat = np.stack([e.T.reshape(-1) for e in povm.elements])
+    elems = np.stack(povm.elements)
+    elems_t_flat = elems.transpose(0, 2, 1).reshape(len(elems), -1)
     mask = p > 0.0
     sqrt_p = np.sqrt(p[mask])
     sigma = np.eye(dim, dtype=complex) / dim
@@ -751,11 +766,7 @@ def measured_fidelity_to_sep_upper(
         step = _seesaw_product_max(grad, da, db, restarts, 80, seed + it)
         atom = _atom_matrix(step.a_vec, step.b_vec)
         q_atom = np.clip(np.real(elems_t_flat @ atom.reshape(-1)), 0.0, None)
-
-        def f_line(t, q_atom=q_atom, q_out=q_out):
-            return classical_fidelity(p, (1.0 - t) * q_out + t * q_atom)
-
-        t_best, f_best = _golden_max(f_line)
+        t_best, f_best = _line_max(functools.partial(classical_fidelity, p), q_out, q_atom)
         if f_best <= lower + 1e-13:
             break
         sigma = (1.0 - t_best) * sigma + t_best * atom

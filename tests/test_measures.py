@@ -7,6 +7,9 @@ from numpy.testing import assert_allclose
 from definetti.measures import (
     ClassicalDistribution,
     Povm,
+    _fidelity_from_root,
+    _root_fidelities,
+    _sqrtm_psd,
     classical_fidelity,
     classical_trace_distance,
     conditional_mutual_information,
@@ -155,6 +158,39 @@ def test_povm_validation():
         Povm((np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])))
     p = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])), labels=("a", "b"))
     assert p.side == 2
+
+
+def test_povm_rejects_a_non_psd_last_element():
+    # the elements sum to the identity and all but the last are PSD, so only
+    # a check that reaches the last element rejects it
+    elements = (np.diag([0.5, 0.5]), np.diag([0.25, 0.25]), np.diag([0.35, 0.25]), np.diag([-0.1, 0.0]))
+    assert np.allclose(sum(elements), np.eye(2))
+    with pytest.raises(ValueError, match="not PSD"):
+        Povm(elements)
+    Povm(elements[:2] + (np.diag([0.25, 0.25]),))
+
+
+def test_root_fidelities_match_one_at_a_time_and_reject_a_non_psd_last_row():
+    rho, *sigmas = (induced_mixed_state((3,), seed).matrix for seed in range(4))
+    root = _sqrtm_psd(rho)
+    inner = np.stack([root @ s @ root for s in sigmas])
+    inner = (inner + inner.conj().transpose(0, 2, 1)) / 2.0
+    values = _root_fidelities(inner)
+    for value, s in zip(values, sigmas):
+        assert abs(value - _fidelity_from_root(root, s)) <= 1e-12
+    inner[-1] -= 0.1 * np.eye(3) + inner[-1]
+    with pytest.raises(ValueError, match="not PSD"):
+        _root_fidelities(inner)
+
+
+def test_classical_fidelity_over_a_stack():
+    p = np.array([0.5, 0.25, 0.25, 0.0])
+    qs = np.array([[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.5, 0.0]])
+    values = classical_fidelity(p, qs)
+    assert values.shape == (2,)
+    for value, q in zip(values, qs):
+        assert value == classical_fidelity(p, q)
+    assert isinstance(classical_fidelity(p, qs[0]), float)
 
 
 def test_classical_distribution():

@@ -343,6 +343,17 @@ def test_conditioning_random_instances():
                 assert s.cmi_chain_value <= s.chain_budget + 1e-9
 
 
+def test_conditioning_rejects_mismatched_factors():
+    # alpha's factors must match M's A side and beta's its B side
+    alpha = induced_mixed_state((3, 3), 16, "a")
+    beta = induced_mixed_state((3, 3), 16, "b")
+    with pytest.raises(ValueError, match="state factors do not match the measurement"):
+        recursive_conditioning_demo(SINGLET, alpha, beta, q=2)
+    qubits = induced_mixed_state((2, 2), 16, "q")
+    with pytest.raises(ValueError, match="state factors do not match the measurement"):
+        recursive_conditioning_demo(SINGLET, qubits, beta, q=2)
+
+
 def test_conditioning_csv_rows():
     alpha = induced_mixed_state((2, 2), 14, "a")
     beta = induced_mixed_state((2, 2), 14, "b")

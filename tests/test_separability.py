@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from definetti import suites
-from definetti.measures import Povm, fidelity
+from definetti.measures import Povm, _fidelity_from_root, _root_fidelities, _sqrtm_psd, classical_fidelity, fidelity
 from definetti.operators import (
     Dims,
     HermitianOperator,
@@ -31,12 +31,12 @@ from definetti.separability import (
     SEESAW_STOP,
     BipartiteCut,
     _irrep_blocks,
+    _line_max,
     _min_norm_weights,
     _product_lmo_upper,
     _random_unit,
     _seesaw_product_max,
     _top_eigpair,
-    _top_eigpairs,
     certificate_to_json,
     hqext,
     hs_distance_to_sep,
@@ -220,20 +220,21 @@ def test_seesaw_single_iteration_is_not_converged():
 
 
 @given(
-    count=st.integers(1, 4),
-    side=st.integers(1, 5),
+    da=st.integers(1, 4),
+    db=st.integers(1, 4),
+    restarts=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_top_eigpairs_matches_per_matrix(count, side, seed):
-    rng = np.random.default_rng(seed)
-    stack = np.stack([random_hermitian(side, rng) for _ in range(count)])
-    values, vecs = _top_eigpairs(stack)
-    for mat, value, vec in zip(stack, values, vecs):
-        ref_value, ref_vec = _top_eigpair(mat)
-        assert value == ref_value
-        # same eigenvectors; the phase division is vectorized, so allow a
-        # few ulps of complex-division rounding
-        assert np.allclose(vec, ref_vec, rtol=0.0, atol=1e-14)
+def test_seesaw_returns_phase_fixed_vectors(da, db, restarts, seed):
+    # the loop leaves eigenvector phases as eigh returns them; the returned
+    # pair is rotated so each vector's largest-magnitude entry is real and
+    # positive, as _top_eigpair does
+    m = random_hermitian(da * db, np.random.default_rng(seed))
+    res = _seesaw_product_max(m, da, db, restarts, 40, seed=seed % 1000)
+    for vec in (res.a_vec, res.b_vec):
+        assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        pivot = vec[np.argmax(np.abs(vec))]
+        assert pivot.real > 0 and abs(pivot.imag) <= 1e-15
 
 
 @given(
@@ -462,12 +463,135 @@ def test_max_fidelity_certificate_consistency():
     assert abs(res.weights.sum() - 1.0) < 1e-12
 
 
+def golden_max(f, lo=0.0, hi=1.0, tol=1e-10):
+    """The golden-section search the stacked line search replaced, kept as
+    a reference."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    candidates = [(f(lo), lo), (fc, c), (fd, d), (f(hi), hi)]
+    best = max(candidates, key=lambda p: p[0])
+    return best[1], best[0]
+
+
+def full_rank_state(rng, dim, rank):
+    """A random rank-``rank`` state mixed with ``I/dim``.  On a rank-deficient
+    product ``sqrt(rho) sigma sqrt(rho)`` rounding in the zero eigenvalues
+    passes through the square root (about 1e-8) in any evaluation order, so
+    only full-rank segments can agree to 1e-12."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    w = g @ g.conj().T
+    return 0.9 * w / np.trace(w).real + 0.1 * np.eye(dim) / dim
+
+
+@given(
+    dim=st.integers(1, 6),
+    ranks=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    peak=st.sampled_from(["interior", "at 0", "at 1"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_max_matches_golden_section_on_fidelity_segments(dim, ranks, peak, seed):
+    rng = np.random.default_rng(seed)
+    rho, sigma, atom = (full_rank_state(rng, dim, min(r, dim)) for r in ranks)
+    # F(rho, .) peaks at rho itself, so a segment ending there peaks at that end
+    if peak == "at 0":
+        sigma = rho
+    elif peak == "at 1":
+        atom = rho
+    root = _sqrtm_psd(rho)
+    _, ref = golden_max(lambda t: _fidelity_from_root(root, (1.0 - t) * sigma + t * atom))
+    x0, x1 = (root @ x @ root for x in (sigma, atom))
+    t, value = _line_max(_root_fidelities, (x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
+    assert 0.0 <= t <= 1.0
+    assert abs(value - ref) <= 1e-12
+    assert abs(value - fidelity(rho, (1.0 - t) * sigma + t * atom)) <= 1e-12
+    if peak != "interior":
+        assert abs(value - 1.0) <= 1e-12
+
+
+@given(
+    k=st.integers(1, 40),
+    peak=st.sampled_from(["interior", "at 0", "at 1"]),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_max_matches_golden_section_on_classical_segments(k, peak, zeros, seed):
+    rng = np.random.default_rng(seed)
+    p, q0, q1 = rng.random((3, k))
+    if zeros:
+        # outcomes of probability zero, as the measured bound's clipping makes
+        for v in (p, q0, q1):
+            v[rng.random(k) < 0.3] = 0.0
+    if peak == "at 0":
+        q0 = p
+    elif peak == "at 1":
+        q1 = p
+    p, q0, q1 = (v / max(v.sum(), 1e-300) for v in (p, q0, q1))
+    _, ref = golden_max(lambda t: float(np.sqrt(p * ((1.0 - t) * q0 + t * q1)).sum()))
+    t, value = _line_max(functools.partial(classical_fidelity, p), q0, q1)
+    assert abs(value - ref) <= 1e-12
+    assert abs(value - float(np.sqrt(p * ((1.0 - t) * q0 + t * q1)).sum())) <= 1e-12
+
+
+def test_line_max_call_count():
+    calls = []
+
+    def f(points):
+        calls.append(len(points))
+        return -((points - 0.3) ** 2)
+
+    t, value = _line_max(f, 0.0, 1.0)
+    assert abs(t - 0.3) <= 1e-10 and abs(value) <= 1e-20
+    # both ends in one call, then at most 11 stacked rounds of 16 points
+    assert len(calls) <= 12 and max(calls) <= 16
+
+
+def test_max_fidelity_eigensolver_call_count(monkeypatch):
+    # a count, not a timing: the line searches make 12 stacked eigvalsh
+    # calls each, and the seesaw two stacked eigh calls per iteration
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rho = induced_mixed_state((2, 2), 16)
+    res = max_fidelity_to_sep(rho, CUT, iters=20, restarts=4, seed=1)
+    assert res.iterations == 20
+    # 3,668 calls with golden-section line searches; the seesaw's share
+    # moves with rounding, so the bound sits midway down to the 2,868 here
+    assert len(calls) <= 3300
+
+
 def test_hs_distance_separable_input():
     mix = density(np.eye(4) / 4, (2, 2))
     res = hs_distance_to_sep(mix, CUT, iters=30, seed=4)
     assert res.value <= 1e-6
     # I/4 is the starting mixture, so the first oracle call finds no gain
     assert res.converged and res.iterations == 1
+
+
+@pytest.mark.parametrize("diagonal", [(1.0, 0.0, 0.0, 0.0), (0.7, 0.1, 0.1, 0.1)])
+def test_hs_distance_product_diagonal_input(diagonal):
+    # separable, and the first seesaw atom is a computational-basis product
+    # that the uniform start mixture already contains
+    res = hs_distance_to_sep(density(np.diag(diagonal), (2, 2)), CUT, seed=0)
+    assert res.value <= 1e-9
+    assert res.converged
 
 
 def test_hs_distance_reports_iteration_cap():
@@ -523,6 +647,48 @@ def test_min_norm_weights_simplex_and_optimal(k, dim, complex_points, shape, see
     assert np.min(np.real(pts.conj() @ x)) >= np.vdot(x, x).real - 1e-12 * scale
 
 
+@given(
+    k=st.integers(2, 20),
+    dim=st.integers(1, 16),
+    complex_points=st.booleans(),
+    shape=st.sampled_from(["generic", "duplicates", "affine", "inside"]),
+    start_kind=st.sampled_from(["prefix optimum", "uniform prefix", "simplex point"]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_min_norm_weights_warm_start_matches_cold(k, dim, complex_points, shape, start_kind, seed, data):
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((k, dim))
+    if complex_points:
+        pts = pts + 1j * rng.standard_normal((k, dim))
+    if shape == "duplicates":
+        pts = np.vstack([pts, pts[rng.integers(0, k, size=3)]])
+    elif shape == "affine":
+        mix = rng.random((3, k))
+        pts = np.vstack([pts, (mix / mix.sum(axis=1, keepdims=True)) @ pts])
+    elif shape == "inside":
+        c = rng.random(k)
+        pts = pts - (c / c.sum()) @ pts
+    m = data.draw(st.integers(1, len(pts) - 1))
+    start = np.zeros(len(pts))
+    if start_kind == "prefix optimum":
+        # the solution on a prefix of the rows, as Gilbert's later rounds
+        # start when they append an atom
+        start[:m] = _min_norm_weights(pts[:m])
+    elif start_kind == "uniform prefix":
+        # the uniform mixture Gilbert's first round starts from
+        start[:m] = 1.0 / m
+    else:
+        # any simplex point, zero weights included
+        start = rng.random(len(pts)) * (rng.random(len(pts)) < 0.5)
+        start[m] = 1.0
+        start /= start.sum()
+    warm = _min_norm_weights(pts, start)
+    cold = _min_norm_weights(pts)
+    assert (warm >= 0).all() and abs(warm.sum() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(warm @ pts) - np.linalg.norm(cold @ pts)) <= 1e-12
+
+
 def test_hs_distance_triangle_sanity():
     rng = stream(6, "tri")
     sigma = induced_mixed_state((2, 2), 6)
@@ -556,6 +722,30 @@ def test_product_povm_structure():
     joint = product_povm(pauli, pauli)
     assert len(joint.elements) == 36
     assert joint.side == 4
+
+
+def test_product_povm_matches_kron_double_loop():
+    rng = stream(9, "product-povm")
+    # a qutrit POVM from a random unitary's columns, scaled by 1/2 and mixed
+    # with the computational basis
+    u = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    trit = Povm(
+        tuple(np.outer(u[:, i], u[:, i].conj()) / 2.0 for i in range(3))
+        + tuple(np.diag(np.eye(3)[i]) / 2.0 for i in range(3)),
+        labels=("u0", "u1", "u2", "e0", "e1", "e2"),
+    )
+    pauli = pauli_tomography_povm()
+    for pa, pb in ((pauli, trit), (trit, pauli), (pauli, pauli)):
+        elements, labels = [], []
+        for la, ea in zip(pa.labels, pa.elements):
+            for lb, eb in zip(pb.labels, pb.elements):
+                elements.append(np.kron(ea, eb))
+                labels.append((la, lb))
+        joint = product_povm(pa, pb)
+        assert joint.labels == tuple(labels)
+        assert len(joint.elements) == len(elements)
+        for got, ref in zip(joint.elements, elements):
+            assert np.array_equal(got, ref)
 
 
 def test_multiplicativity_floor():
