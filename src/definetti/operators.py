@@ -477,17 +477,12 @@ def sym_projector(n: int, d: int, method: str = "occupation") -> HermitianOperat
     side = d**n
     check_side(side, "symmetric projector")
     if method == "occupation":
-        return _occupation_projector(n, d)
+        label, _, sizes = _occupation_table(n, d)
+        return HermitianOperator(np.divide(label[:, None] == label, sizes[label], dtype=complex), Dims((d,) * n))
     if method != "average":
         raise ValueError(f"unknown method {method!r}")
     p = _average_permutations(np.eye(side, dtype=complex).reshape((d,) * n + (side,)), n, (0,))
     return HermitianOperator(p.reshape(side, side), Dims((d,) * n))
-
-
-@functools.lru_cache(maxsize=4)
-def _occupation_projector(n: int, d: int) -> HermitianOperator:
-    label, _, sizes = _occupation_table(n, d)
-    return HermitianOperator(np.divide(label[:, None] == label, sizes[label], dtype=complex), Dims((d,) * n))
 
 
 def sym_rank(n: int, d: int) -> int:
@@ -639,15 +634,17 @@ def induced_mixed_state(dims, seed: int, *labels) -> DensityMatrix:
 
 
 def symmetric_state_vector(n: int, d: int, seed: int, *labels) -> np.ndarray:
-    """Haar vector projected onto the symmetric subspace and renormalized.
+    """Haar vector projected onto the symmetric subspace (each entry replaced
+    by its occupation class's mean) and renormalized.
 
     Retries with an incremented sub-seed if the projection vanishes and
     fails after 16 attempts.
     """
-    proj = sym_projector(n, d).matrix
+    check_side(d**n, "symmetric state vector")
+    label, _, sizes = _occupation_table(n, d)
     for attempt in range(16):
         v = haar_state_vector(d**n, seed, "symmetric", attempt, *labels)
-        w = proj @ v
+        w = ((np.bincount(label, v.real) + 1j * np.bincount(label, v.imag)) / sizes)[label]
         norm = np.linalg.norm(w)
         if norm > 1e-12:
             return w / norm

@@ -7,13 +7,13 @@ Frank-Wolfe maximization of fidelity to the separable set, a Gilbert-style
 upper bound on the 2-norm distance, and a fixed-POVM upper bound on the
 measured fidelity.  The q-extendible support function needs no optimizer at
 all; it is an exact top eigenvalue of a one-sided twirl, taken one S_q irrep
-at a time (``_irrep_blocks``), so no matrix of side ``da * db**q`` is built.
+at a time from U(db) generators (``_irrep_blocks``): no array has ``db**q``
+rows, and the side cap holds the level side ``da * sum_lambda dim_lambda``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -127,15 +127,27 @@ class SeesawResult:
 
 @dataclass(frozen=True, eq=False)
 class QExtResult:
-    """``irrep`` is the Young diagram of the S_q block holding the top
-    eigenvalue; ``block_side`` is that block's side, ``da`` times the
-    dimension of its piece."""
+    """``irrep`` is the Young diagram of the S_q block with the top eigenvalue,
+    ``block_vec`` its top eigenvector, of length ``block_side`` (``da`` times
+    the piece's dimension); ``dims`` is ``(da, db)``."""
 
     value: float
     q: int
-    witness_vec: np.ndarray
+    block_vec: np.ndarray
     irrep: tuple[int, ...]
     block_side: int
+    dims: tuple[int, int]
+
+    def witness(self) -> np.ndarray:
+        """``block_vec`` lifted to ``A (x) B^q`` through the chain of ``v`` s: a top
+        eigenvector of the twirled operator, its side ``da * db**q`` held to the cap."""
+        da, db = self.dims
+        check_side(da * db**self.q, "q-extension witness")
+        w, shape = self.block_vec.reshape(da, -1, 1), self.irrep
+        for level in range(self.q, 0, -1):
+            shape, v = next((parent, v) for s, parent, v, _ in _irrep_blocks(db, level) if s == shape)
+            w = np.einsum("jcl,alt->ajct", v, w).reshape(da, len(v), -1)  # v's factor joins the lifted tail
+        return w.reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,10 +308,9 @@ def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
     ``H``, and the twirl of that eigenstate reduces to a q-extendible state
     on A(x)B.  ``H`` commutes with the permutations of the q B factors, so
     it is diagonalized one Young diagram at a time on ``A (x)`` one
-    Gelfand-Tsetlin piece (``_irrep_blocks``); the witness is the top
-    eigenvector of the best block lifted back to ``A (x) B^q``, a top
-    eigenvector of the twirled operator.  The side ``da * db**q`` of that
-    space is still held to the side cap.
+    Gelfand-Tsetlin piece (``_irrep_blocks``); the side cap holds the level
+    side ``da * sum_lambda dim_lambda`` (``_hqext_regrouped``), and
+    ``QExtResult.witness()`` lifts the top block vector to ``A (x) B^q``.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -315,92 +326,86 @@ def _hqext_regrouped(matrix: np.ndarray, da: int, db: int, q: int) -> QExtResult
     its piece ``Q = (P (x) 1_B) V`` (``_irrep_blocks``).  On
     ``A (x) P (x) B_q``, ``q H`` is ``S (x) 1_B + 1_P (x) M_{A B_q}``, where
     ``S``, the sum of ``M_{A B_i}`` over ``i < q`` compressed onto
-    ``1_A (x) P``, is one product of ``M`` with the parent's summed partial
-    Gram; ``V`` then compresses that to side ``da * k``.  No array is larger
-    than ``(da * db**q)**2`` entries.  The largest top eigenvalue wins; ties
-    go to the first block in ``_irrep_blocks`` order.
+    ``1_A (x) P``, is one product of ``M`` with the parent's U(db)
+    generators ``gram``; ``V`` then compresses that to side ``da * k``.  The
+    level side ``da * _level_side(db, q)`` bounds every block side and every
+    ``X_q`` side below it, so it alone is held to the side cap, before any
+    level is built.  The largest top eigenvalue wins; ties go to the first
+    block in ``_irrep_blocks`` order.
     """
-    check_side(da * db**q, "q-extension space")
+    check_side(da * _level_side(db, q), "q-extension level")
     # m_ab[(a, a'), (b, b')] = M[(a, b), (a', b')]
     m_ab = matrix.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    best = None
-    for shape, basis, v, gram in _irrep_blocks(db, q):
+    blocks = []
+    for shape, _, v, gram in _irrep_blocks(db, q):
         kp, _, k = v.shape
         # t[a, a', j, c, l] = ((S (x) 1_B + 1_P (x) M_{A B_q}) (1_A (x) V))[(a, j, c), (a', l)]
         t = ((m_ab @ gram).reshape(da * da * kp, kp) @ v.reshape(kp, db * k)).reshape(da, da, kp, db, k)
         mv = m_ab.reshape(da * da * db, db) @ v.transpose(1, 0, 2).reshape(db, kp * k)
         t += mv.reshape(da, da, db, kp, k).transpose(0, 1, 3, 2, 4)
         block = v.reshape(kp * db, k).conj().T @ t.reshape(da, da, kp * db, k)  # [a, a', l', l]
-        value, x = _top_eigpair(block.transpose(0, 2, 1, 3).reshape(da * k, da * k) / q)
-        if best is None or value > best[0]:
-            best = value, x, shape, basis
-    value, x, shape, basis = best
-    witness = (x.reshape(da, -1) @ basis.T).reshape(-1)
-    return QExtResult(value=value, q=q, witness_vec=witness, irrep=shape, block_side=len(x))
+        blocks.append((*_top_eigpair(block.transpose(0, 2, 1, 3).reshape(da * k, da * k) / q), shape))
+    value, x, shape = max(blocks, key=lambda b: b[0])
+    return QExtResult(value=value, q=q, block_vec=x, irrep=shape, block_side=len(x), dims=(da, db))
+
+
+def _level_side(db: int, q: int) -> int:
+    """``sum_lambda dim_lambda`` over the diagrams of ``q`` boxes with at most
+    ``db`` rows (Littlewood's identity at ``x_i = t``: the ``t^q`` coefficient
+    of ``(1 - t)^-db (1 - t^2)^-m``, ``m = db (db - 1) / 2``)."""
+    m = db * (db - 1) // 2
+    return sum(math.comb(i + m - 1, i) * math.comb(q - 2 * i + db - 1, db - 1) for i in range(q // 2 + 1)) if m else 1
 
 
 @functools.lru_cache(maxsize=16)
 def _irrep_blocks(db: int, q: int) -> tuple:
     """One Gelfand-Tsetlin piece of ``(C^db)^{(x)q}`` per Young diagram.
 
-    Returns ``(shape, basis, v, gram)``, one for every diagram of ``q``
-    boxes with at most ``db`` rows, in descending ``shape`` order.
-    ``basis`` (``db^q x k``, orthonormal columns) spans the joint
-    eigenspace of the Jucys-Murphy elements ``X_j = sum_{i<j} swap(i, j)``
-    for one standard tableau of ``shape``, on which each ``X_j`` acts as the
-    content (column minus row) of the box holding ``j`` (Okounkov-Vershik,
-    arXiv:math/0503040).  That space is one copy of the U(db) irrep of
-    ``shape``, so an operator on ``A (x) B^q`` that commutes with the
-    permutations of the B factors has, compressed onto ``1_A (x) basis``,
-    the spectrum it has on the whole isotypic component.
+    Returns read-only ``(shape, parent, v, gram)`` for every diagram of
+    ``q`` boxes with at most ``db`` rows, in descending ``shape`` order: the
+    piece is ``Q = (P (x) 1) v`` for the piece ``P`` of ``parent`` (``q = 0``
+    is the empty diagram, on ``C^1``) and a ``kp x db x k`` isometry ``v``.
+    ``Q`` is the joint eigenspace of the Jucys-Murphy elements ``X_j =
+    sum_{i<j} swap(i, j)`` for one standard tableau of ``shape`` (each acts
+    as the content of the box holding ``j``; Okounkov-Vershik,
+    arXiv:math/0503040), one copy of the U(db) irrep of ``shape``.
 
-    Built one factor at a time from the pieces for ``q - 1`` (``q = 0`` is
-    the one empty diagram, on ``C^1``).  For a parent piece ``P`` of side
-    ``kp``, ``gram[(b, b'), (j, j')]`` is its partial Gram summed over the
-    ``q - 1`` factors,
-    ``sum_i sum_rest conj(P[(b at i, rest), j]) P[(b' at i, rest), j']``,
-    and the new ``X_q`` compresses to it re-indexed on ``P (x) C^db``.  Its
-    eigenvalues are the contents of the boxes addable to the parent's shape.
-    They are integers, so rounding them is exact.  Each eigenspace gives the
-    ``kp x db x k`` isometry ``v`` with ``basis = (P (x) 1) v``; the first
-    parent (in order) to reach a shape supplies its piece, and ``gram`` is
-    that parent's.  The Gram of the pieces of ``q`` itself is only formed
-    when ``q + 1`` is built, so its side ``db * kp`` is at most ``db**q``.
-    The arrays are read-only.  One level holds at most ``2 * db**(2 q)``
-    entries; the cache keeps 16 levels, enough for the deepest sweep the
-    default cap allows (``db = 2``, levels ``0..11``).
+    No basis with ``db^q`` rows is kept: ``gram[(b, b'), (j, j')] = <P_j|
+    sum_i (|b><b'|)_i |P_j'>`` holds ``P``'s U(db) generators.  ``X_q`` is
+    ``gram`` re-indexed on ``P (x) C^db``; its eigenvalues, the contents of
+    the boxes addable to ``parent``, are integers, so rounding them is
+    exact, and each eigenspace is a ``v`` (the first parent in order to
+    reach a shape supplies it).  ``Q``'s own generators, ``v^dag (gram (x)
+    1 + 1 (x) |b><b'|) v`` (the add-one-box step of the Schur transform,
+    Bacon-Chuang-Harrow, arXiv:quant-ph/0407082), are formed only when
+    level ``q + 1`` is built, from this level alone.  So a sweep ``q =
+    1..Q`` builds each level once, and 16 entries hold the chain that
+    ``QExtResult.witness`` reads (``q <= 11`` under the default cap) or the
+    sweeps of ``db = 2`` to ``q = 6`` and ``db = 3`` to ``q = 5`` at once.
     """
     if q == 0:
-        return (((), np.ones((1, 1), dtype=complex), None, None),)
+        return (((), None, None, None),)
     pieces = {}
-    for shape, parent, _, _ in _irrep_blocks(db, q - 1):
-        kp = parent.shape[1]
-        t = parent.reshape((db,) * (q - 1) + (kp,))
-        gram = np.zeros((db * kp, db * kp), dtype=complex)
-        for i in range(q - 1):
-            rows = np.moveaxis(t, i, -2).reshape(-1, db * kp)  # [rest, (b, j)]
-            gram += rows.conj().T @ rows
-        gram = gram.reshape(db, kp, db, kp).transpose(0, 2, 1, 3).reshape(db * db, kp * kp)
+    for shape, _, pv, pgram in _irrep_blocks(db, q - 1):
+        if pv is None:
+            kp, gram = 1, np.zeros((db * db, 1), dtype=complex)
+        else:
+            kpp, _, kp = pv.shape
+            # u[b, b', j, c, l] = ((pgram_bb' (x) 1 + 1 (x) |b><b'|) pv)[(j, c), l]
+            u = (pgram.reshape(db * db, kpp, kpp) @ pv.reshape(kpp, db * kp)).reshape(db, db, kpp, db, kp)
+            u[np.arange(db), :, :, np.arange(db)] += pv.transpose(1, 0, 2)
+            gram = (pv.reshape(kpp * db, kp).conj().T @ u.reshape(db * db, kpp * db, kp)).reshape(db * db, kp * kp)
         gram.setflags(write=False)
-        # <P_j (x) e_c| X_q |P_j' (x) e_c'> = gram[(c', c), (j, j')]
-        x_q = gram.reshape(db, db, kp, kp).transpose(2, 1, 3, 0).reshape(kp * db, kp * db)
-        w, vecs = np.linalg.eigh(x_q)
-        # the addable box in row r has content len(row r) - r
-        row_of = {n - r: r for r, n in enumerate(shape + (0,))}
-        col = 0
-        for content, run in itertools.groupby(round(float(c)) for c in w):
-            width = len(list(run))
-            grown = list(shape) + [0]
-            grown[row_of[content]] += 1
-            new = tuple(n for n in grown if n)
-            if new not in pieces:
-                # vecs' rows are ordered (j, c)
-                v = vecs[:, col : col + width].reshape(kp, db, width)
-                basis = (parent @ v.reshape(kp, db * width)).reshape(-1, width)
+        # X_q: <P_j (x) e_c| X_q |P_j' (x) e_c'> = gram[(c', c), (j, j')]
+        w, vecs = np.linalg.eigh(gram.reshape(db, db, kp, kp).transpose(2, 1, 3, 0).reshape(kp * db, kp * db))
+        # the box addable in row r has content len(row r) - r
+        grown = {n - r: shape[:r] + (n + 1,) + shape[r + 1 :] for r, n in enumerate(shape + (0,))}
+        for content, col, width in zip(*np.unique(np.rint(w).astype(int), return_index=True, return_counts=True)):
+            if (new := grown[content]) not in pieces:
+                # vecs' rows are ordered (j, c); the copy lets vecs go
+                v = np.ascontiguousarray(vecs[:, col : col + width]).reshape(kp, db, width)
                 v.setflags(write=False)
-                basis.setflags(write=False)
-                pieces[new] = (basis, v, gram)
-            col += width
+                pieces[new] = (shape, v, gram)
     return tuple((shape, *pieces[shape]) for shape in sorted(pieces, reverse=True))
 
 
@@ -706,13 +711,11 @@ def pauli_tomography_povm() -> Povm:
 def _product_lmo_upper(matrix: np.ndarray, da: int, db: int) -> float:
     """Certified upper bound on ``max <ab|M|ab>`` over product states.
 
-    Product states are q-extendible for every q, so the q-extendible value
-    (``_hqext_regrouped``) dominates the product maximum; ``q`` is 4, or the
-    largest smaller value under the side cap.
+    Product states are q-extendible, so ``_hqext_regrouped`` dominates the
+    product maximum.  ``q`` is 4, or less while ``da * db**q`` exceeds the side
+    cap: ``hqext``'s old cap, kept so that the measured bound does not move.
     """
-    q = 4
-    while da * db**q > max_side() and q > 1:
-        q -= 1
+    q = max([1] + [q for q in range(2, 5) if da * db**q <= max_side()])
     return _hqext_regrouped(matrix, da, db, q).value
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from definetti.cli import main
 from definetti.operators import hermitian, max_side, set_max_side
+from definetti.separability import _irrep_blocks
 from definetti.serialize import dump_operator
 
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -124,10 +125,24 @@ def test_qext(tmp_path, singlet_file):
     assert rec["params"]["irrep"] == [2] and rec["params"]["block_side"] == 6
 
 
+def test_qext_reaches_q_30(tmp_path, singlet_file):
+    # da * db**q would be 2**31; the level side is 2 * 256
+    code, blob = run(tmp_path, "qext", "--op", singlet_file, "--q", "30")
+    assert code == 0
+    rec = json.loads(blob)[0]
+    assert abs(rec["value"] - 31 / 60) < 1e-12
+    assert rec["params"]["irrep"] == [30] and rec["params"]["block_side"] == 62
+
+
 def test_qext_past_the_cap_exits_3(tmp_path, singlet_file, capsys):
-    # side 2 * 2**12 = 8192 exceeds the default cap of 4096
-    assert main(["qext", "--op", singlet_file, "--q", "12", "--out", str(tmp_path / "x.json")]) == 3
-    assert "q-extension space side 8192" in capsys.readouterr().err
+    # the level side 2 * 2070 = 4140 at q = 89 exceeds the default cap of
+    # 4096 (q = 88 fits); it is refused before any level is built
+    _irrep_blocks.cache_clear()
+    assert main(["qext", "--op", singlet_file, "--q", "89", "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("definetti: ") and err.count("\n") == 1, err
+    assert "q-extension level side 4140" in err
+    assert _irrep_blocks.cache_info().currsize == 0
 
 
 def test_value_only_records_have_null_pass(tmp_path, singlet_file):

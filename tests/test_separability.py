@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from definetti import suites
@@ -31,6 +31,7 @@ from definetti.separability import (
     SEESAW_STOP,
     BipartiteCut,
     _irrep_blocks,
+    _level_side,
     _line_max,
     _min_norm_weights,
     _product_lmo_upper,
@@ -257,7 +258,7 @@ def test_seesaw_value_within_spectrum_and_recomputable(da, db, restarts, max_ite
 def test_hqext_singlet_values():
     # q = 1 admits every state; beyond, known extendibility values of the
     # maximally entangled state: (1/2)(1 + 1/q)
-    for q in range(1, 9):
+    for q in range(1, 13):
         res = hqext(SINGLET, CUT, q)
         assert abs(res.value - (q + 1) / (2 * q)) < 1e-12, q
 
@@ -266,7 +267,7 @@ def test_hqext_two_extension_witness_is_feasible():
     # the twirl of the top eigenprojector is an invariant state whose AB
     # marginal is 2-extendible and achieves the same objective value
     res = hqext(SINGLET, CUT, 2)
-    proj = pure_state_density(res.witness_vec, (2, 2, 2))
+    proj = pure_state_density(res.witness(), (2, 2, 2))
     invariant = b_side_twirl(proj.op, 2)
     marginal = partial_trace(invariant, [0, 1])
     achieved = float(np.real(np.trace(SINGLET.matrix @ marginal.matrix)))
@@ -285,6 +286,19 @@ def test_hqext_monotone_and_dominates_seesaw():
         assert v1 >= v2 - 1e-9
         assert v2 >= v3 - 1e-9
         assert v3 >= lower - 1e-9
+
+
+@settings(max_examples=6)
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_hqext_nonincreasing_in_q_past_the_old_cap(d, seed):
+    # Ext_{q+1} lies inside Ext_q, so the support value cannot grow with q;
+    # the old da * db**q cap stopped at q = 11 at 2x2 and q = 6 at 3x3
+    m = hermitian(random_contraction(d * d, np.random.default_rng(seed)), (d, d))
+    q_max = {2: 12, 3: 8}[d]
+    values = [hqext(m, CUT, q).value for q in range(1, q_max + 1)]
+    assert all(b <= a + 1e-12 for a, b in zip(values, values[1:])), values
+    per_q = hsep_certified_interval(m, CUT, q_max=q_max, restarts=2, seed=seed % 1000).per_q_upper
+    assert all(per_q[q + 1] <= per_q[q] + 1e-12 for q in range(1, q_max)), per_q
 
 
 def _dense_twirled(m: np.ndarray, da: int, db: int, q: int) -> np.ndarray:
@@ -322,12 +336,12 @@ def test_hqext_witness_is_a_top_eigenvector_of_the_dense_twirl():
     m = random_contraction(da * db, stream(9, "witness"))
     res = hqext(hermitian(m, (da, db)), CUT, q)
     dense = _dense_twirled(m, da, db, q)
-    v = res.witness_vec
+    v = res.witness()
     assert v.shape == (da * db**q,)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert np.linalg.norm(dense @ v - res.value * v) <= 1e-12
     assert abs(res.value - np.linalg.eigvalsh(dense)[-1]) <= 1e-12
-    pieces = {shape: basis.shape[1] for shape, basis, _, _ in _irrep_blocks(db, q)}
+    pieces = {shape: v.shape[2] for shape, _, v, _ in _irrep_blocks(db, q)}
     assert res.block_side == da * pieces[res.irrep]
 
 
@@ -338,15 +352,38 @@ def _hook_count(shape) -> int:
     return math.factorial(sum(shape)) // hooks
 
 
+def _chain_bases(db: int, q: int) -> dict:
+    """``{shape: basis}`` for the pieces of ``_irrep_blocks(db, q)``: each
+    ``db^q x k`` basis is ``(P (x) 1) v`` for its parent's basis ``P``."""
+    bases = {(): np.ones((1, 1), dtype=complex)}
+    for level in range(1, q + 1):
+        bases = {
+            shape: (bases[parent] @ v.reshape(len(v), -1)).reshape(-1, v.shape[2])
+            for shape, parent, v, _ in _irrep_blocks(db, level)
+        }
+    return bases
+
+
 @given(db=st.integers(1, 3), q=st.integers(1, 4))
 def test_irrep_blocks_are_jucys_murphy_eigenspaces(db, q):
     blocks = _irrep_blocks(db, q)
-    parents = _irrep_blocks(db, q - 1)
+    bases = _chain_bases(db, q)
+    parents = _chain_bases(db, q - 1)
     shapes = [shape for shape, _, _, _ in blocks]
     assert shapes == sorted(shapes, reverse=True) and len(set(shapes)) == len(shapes)
     assert all(sum(s) == q and len(s) <= db and list(s) == sorted(s, reverse=True) for s in shapes)
-    assert sum(_hook_count(shape) * basis.shape[1] for shape, basis, _, _ in blocks) == db**q
-    for shape, basis, v, gram in blocks:
+    assert sum(_hook_count(shape) * bases[shape].shape[1] for shape in shapes) == db**q
+    # the piece widths add up to Littlewood's count, the level side
+    assert sum(bases[shape].shape[1] for shape in shapes) == _level_side(db, q)
+    # the next level carries a parent piece's generators basis^dag (sum_i |b><b'|_i) basis
+    units = np.eye(db * db).reshape(db * db, db, db)
+    dense = [sum(np.kron(np.kron(np.eye(db**i), e), np.eye(db ** (q - 1 - i))) for i in range(q)) for e in units]
+    for _, shape, _, gram in _irrep_blocks(db, q + 1):
+        basis = bases[shape]
+        expected = np.stack([basis.conj().T @ op @ basis for op in dense]).reshape(db * db, -1)
+        assert np.abs(gram - expected).max() <= 1e-12, shape
+    for shape, pshape, v, gram in blocks:
+        basis = bases[shape]
         k = basis.shape[1]
         assert basis.shape[0] == db**q
         assert np.abs(basis.conj().T @ basis - np.eye(k)).max() <= 1e-12
@@ -365,15 +402,12 @@ def test_irrep_blocks_are_jucys_murphy_eigenspaces(db, q):
             assert r == 0 or grown[r - 1] > grown[r]
             grown[r] += 1
         assert tuple(n for n in grown if n) == shape
-        # the piece is (P (x) 1) v for a parent piece P of one box fewer, and
+        # the piece is (P (x) 1) v for the parent piece P of one box fewer, and
         # gram[(b, b'), (j, l)] = sum_{i < q-1} sum_rest conj(P[b at i, rest; j]) P[b' at i, rest; l]
-        kp = v.shape[0]
+        parent = parents[pshape]
+        kp = parent.shape[1]
         assert v.shape == (kp, db, k)
-        (pshape, parent), = [
-            (ps, p)
-            for ps, p, _, _ in parents
-            if p.shape[1] == kp and np.abs((p @ v.reshape(kp, -1)).reshape(-1, k) - basis).max() <= 1e-12
-        ]
+        assert np.abs((parent @ v.reshape(kp, -1)).reshape(-1, k) - basis).max() <= 1e-12
         assert sum(pshape) == q - 1 and all(a <= b for a, b in zip(pshape, shape))
         pt = parent.reshape((db,) * (q - 1) + (kp,))
         at_front = [np.moveaxis(pt, i, 0).reshape(db, -1, kp) for i in range(q - 1)]
@@ -382,27 +416,36 @@ def test_irrep_blocks_are_jucys_murphy_eigenspaces(db, q):
 
 
 def test_hqext_singlet_at_the_cap_stays_small():
-    # side 2 * 2**11 = 4096, the default cap; the dense twirl and its eigh
-    # took 1.3 GB here
+    # q = 12 was refused while hqext held da * db**q = 8192 to the cap; it
+    # now builds no array with db**q rows, except the witness lift, which
+    # keeps that cap
     _irrep_blocks.cache_clear()
     tracemalloc.start()
     try:
-        res = hqext(SINGLET, CUT, 11)
+        res = hqext(SINGLET, CUT, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert abs(res.value - 12 / 22) <= 1e-12
-    assert res.witness_vec.shape == (2 * 2**11,)
+    assert abs(res.value - 13 / 24) <= 1e-12
     assert peak < 32 * 2**20, peak
-    with pytest.raises(ResourceCapError, match="q-extension space side 8192"):
-        hqext(SINGLET, CUT, 12)
+    with pytest.raises(ResourceCapError, match="q-extension witness side 8192"):
+        res.witness()
+    # the level side 2 * 2025 fits the default cap of 4096 at q = 88;
+    # q = 89 (2 * 2070 = 4140) is refused before any level is built
+    res = hqext(SINGLET, CUT, 88)
+    assert abs(res.value - 89 / 176) <= 1e-12
+    assert res.irrep == (88,) and res.block_side == 2 * 89
+    _irrep_blocks.cache_clear()
+    with pytest.raises(ResourceCapError, match="q-extension level side 4140"):
+        hqext(SINGLET, CUT, 89)
+    assert _irrep_blocks.cache_info().currsize == 0
 
 
 def test_hqext_reaches_every_q_under_the_side_cap():
-    # a 2 x 11 operator at q = 3 has side 2 * 11**3 = 2662, under the default
-    # cap, while its (2, 1) piece has 440 columns: no array of side 11 * 440
-    # is formed.  Both the interval's q sweep and the product-oracle bound
-    # (q = 3, the largest q <= 4 under the cap) reach it.
+    # a 2 x 11 operator at q = 3 has level side 2 * 891 = 1782, under the
+    # default cap, while its (2, 1) piece has 440 columns: no array of side
+    # 11 * 440 is formed.  Both the interval's q sweep and the product-oracle
+    # bound (q = 3, the largest q <= 4 with 2 * 11**q under the cap) reach it.
     s = np.zeros((2, 11))
     s[0, 1], s[1, 0] = SINGLET_VEC[1], SINGLET_VEC[2]
     embedded = hermitian(np.outer(s.reshape(-1), s.reshape(-1)), (2, 11))
