@@ -16,7 +16,6 @@ from .operators import DensityMatrix, HermitianOperator, partial_trace
 
 __all__ = [
     "Povm",
-    "ClassicalDistribution",
     "fidelity",
     "trace_distance",
     "entropy",
@@ -168,8 +167,6 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     The environment dimension always equals the full system dimension, so the
     output lives on a doubled space with dims ``rho.dims + rho.dims``.
     """
-    if not rho.normalized:
-        raise ValueError("purification needs a normalized state")
     w, v = _clipped_eigh(rho.matrix)
     d = rho.dims.size
     vec = np.zeros(d * d, dtype=complex)
@@ -220,47 +217,15 @@ class Povm:
         return self.elements[0].shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalDistribution:
-    """Nonnegative weights over a finite alphabet; sub-normalized if flagged."""
-
-    weights: np.ndarray
-    normalized: bool = True
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if (w < -1e-14).any():
-            raise ValueError("negative weight")
-        total = float(w.sum())
-        if self.normalized and abs(total - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        if not self.normalized and total > 1.0 + 1e-12:
-            raise ValueError(f"sub-normalized weights sum to {total!r} > 1")
-        w = np.clip(w, 0.0, None)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-
-    def to_json(self) -> list:
-        return self.weights.tolist()
-
-    @classmethod
-    def from_json(cls, weights, normalized: bool = True) -> "ClassicalDistribution":
-        return cls(np.asarray(weights, dtype=float), normalized=normalized)
-
-
 def classical_fidelity(p, q):
     """Bhattacharyya overlap ``sum_i sqrt(p_i q_i)``, over the last axis: a
     stack of ``q`` rows gives an array of overlaps, one ``q`` a float."""
-    pw = p.weights if isinstance(p, ClassicalDistribution) else np.asarray(p, dtype=float)
-    qw = q.weights if isinstance(q, ClassicalDistribution) else np.asarray(q, dtype=float)
-    overlap = np.sqrt(pw * qw).sum(axis=-1)
+    overlap = np.sqrt(np.asarray(p, dtype=float) * np.asarray(q, dtype=float)).sum(axis=-1)
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
 def classical_trace_distance(p, q) -> float:
-    pw = p.weights if isinstance(p, ClassicalDistribution) else np.asarray(p, dtype=float)
-    qw = q.weights if isinstance(q, ClassicalDistribution) else np.asarray(q, dtype=float)
-    return float(np.abs(pw - qw).sum() / 2.0)
+    return float(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)).sum() / 2.0)
 
 
 def outcome_distribution(povm: Povm, rho) -> np.ndarray:

@@ -44,20 +44,17 @@ __all__ = [
     "permutation_twirl",
     "b_side_twirl",
     "apply_channel",
-    "apply_channel_to_operator",
     "channel_on_factors",
     "identity_channel",
     "qc_dephasing_channel",
     "completely_depolarizing_channel",
     "pauli_twirl_channel",
-    "random_state",
     "haar_state_vector",
     "induced_mixed_state",
     "symmetric_state_vector",
     "random_hermitian",
     "random_contraction",
     "sym_rank",
-    "eig_hermitian",
     "min_eigenvalue",
 ]
 
@@ -205,22 +202,17 @@ def identity_operator(dims) -> HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """PSD operator with unit trace (or sub-normalized where flagged).
+    """PSD operator with unit trace.
 
     Unchecked internal constructor: it checks the trace only.  Outside data
     goes through :func:`density`."""
 
     op: HermitianOperator
-    normalized: bool = True
 
     def __post_init__(self):
         tr = self.op.trace()
-        if self.normalized:
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"trace {tr!r} is not 1 for a normalized state")
-        else:
-            if not (0.0 < tr <= 1.0 + TRACE_TOL):
-                raise ValueError(f"sub-normalized state must have trace in (0, 1], got {tr!r}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"trace {tr!r} is not 1")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -231,19 +223,19 @@ class DensityMatrix:
         return self.op.dims
 
 
-def density(matrix, dims, normalized: bool = True) -> DensityMatrix:
+def density(matrix, dims) -> DensityMatrix:
     """Checked entry point for outside data: :func:`hermitian`, then a
     minimum eigenvalue of at least ``-PSD_MIN_EIG_TOL`` and the trace."""
     op = hermitian(matrix, dims)
     min_eig = float(np.linalg.eigvalsh(op.matrix)[0])
     if min_eig < -PSD_MIN_EIG_TOL:
         raise ValueError(f"not PSD: minimum eigenvalue {min_eig:.3e}")
-    return DensityMatrix(op, normalized=normalized)
+    return DensityMatrix(op)
 
 
-def pure_state_density(vector: np.ndarray, dims, normalized: bool = True) -> DensityMatrix:
+def pure_state_density(vector: np.ndarray, dims) -> DensityMatrix:
     vec = np.asarray(vector, dtype=complex).reshape(-1)
-    return density(np.outer(vec, vec.conj()), dims, normalized=normalized)
+    return density(np.outer(vec, vec.conj()), dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,18 +529,12 @@ def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
 # channels
 
 
-def apply_channel_to_operator(ch: KrausChannel, op: HermitianOperator) -> HermitianOperator:
-    if op.dims.size != ch.in_dims.size:
-        raise ValueError(
-            f"operator side {op.dims.size} does not match channel input {ch.in_dims.size}"
-        )
-    out = sum(k @ op.matrix @ k.conj().T for k in ch.kraus_ops)
-    return HermitianOperator(out, ch.out_dims)
-
-
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply the channel; the trace (hence normalization flag) is preserved."""
-    return DensityMatrix(apply_channel_to_operator(ch, rho.op), normalized=rho.normalized)
+    """Apply the channel; it preserves the trace."""
+    if rho.dims.size != ch.in_dims.size:
+        raise ValueError(f"state side {rho.dims.size} does not match channel input {ch.in_dims.size}")
+    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops)
+    return DensityMatrix(HermitianOperator(out, ch.out_dims))
 
 
 def channel_on_factors(ch: KrausChannel, op: HermitianOperator, positions) -> HermitianOperator:
@@ -651,26 +637,6 @@ def symmetric_state_vector(n: int, d: int, seed: int, *labels) -> np.ndarray:
     raise RuntimeError("projection onto the symmetric subspace vanished 16 times")
 
 
-def random_state(kind: str, dims, seed: int, *labels):
-    """Seeded random state of the requested kind.
-
-    ``haar_pure`` returns a unit vector on the total space, ``induced_mixed``
-    a :class:`DensityMatrix`, and ``symmetric_pure`` (dims = (n copies of d))
-    a unit vector in the symmetric subspace.
-    """
-    dims = as_dims(dims)
-    if kind == "haar_pure":
-        return haar_state_vector(dims.size, seed, *labels)
-    if kind == "induced_mixed":
-        return induced_mixed_state(dims, seed, *labels)
-    if kind == "symmetric_pure":
-        d = dims[0]
-        if any(f != d for f in dims):
-            raise ValueError("symmetric_pure needs n equal factors")
-        return symmetric_state_vector(len(dims), d, seed, *labels)
-    raise ValueError(f"unknown random state kind {kind!r}")
-
-
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2.0
@@ -686,23 +652,6 @@ def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral routines
-
-
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
-
-    The reconstruction ``V diag(w) V^dag`` is checked against the input to a
-    relative Frobenius tolerance of 1e-9.
-    """
-    mat = a.matrix if isinstance(a, HermitianOperator) else np.asarray(a, dtype=complex)
-    try:
-        w, v = np.linalg.eigh(mat)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-    err = np.linalg.norm((v * w) @ v.conj().T - mat)
-    if err > 1e-9 * max(np.linalg.norm(mat), 1e-30):
-        raise RuntimeError(f"eigendecomposition reconstruction error {err:.3e}")
-    return w, v
 
 
 def min_eigenvalue(a) -> float:

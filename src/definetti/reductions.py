@@ -30,7 +30,6 @@ from .operators import (
     min_eigenvalue,
     partial_trace,
     partial_trace_vector,
-    qc_dephasing_channel,
     stream,
     symmetric_state_vector,
     tensor_power,
@@ -138,6 +137,17 @@ def _require_symmetric_vector(theta: np.ndarray, n: int, d: int) -> None:
             raise ValueError("vector is not permutation symmetric")
 
 
+@functools.lru_cache(maxsize=4)
+def _sym_isometry(n: int, d: int) -> np.ndarray:
+    """Read-only ``d^n x binom(n+d-1, n)`` isometry ``V`` onto ``Sym^n(C^d)``:
+    column ``c`` is ``1/sqrt(size)`` on each string of occupation class ``c``.
+    ``V`` is real, so ``V^dag a V = V.T @ a @ V``."""
+    label, _, sizes = _occupation_table(n, d)
+    v = np.divide(label[:, None] == np.arange(len(sizes)), np.sqrt(sizes), dtype=complex)
+    v.setflags(write=False)
+    return v
+
+
 @functools.lru_cache(maxsize=8)
 def _occupation_pairs(m: int, d: int) -> tuple[np.ndarray, np.ndarray, int]:
     """``(pair, coef, r2)`` for the ``Sym^m`` classes ``c, b``: ``pair[c, b]``
@@ -236,13 +246,15 @@ def monte_carlo_constrained_moment(
 
 
 def check_pure_reduction(theta, n: int, d: int) -> ReductionCheck:
-    """PSD check of the pure-state constrained reduction on ``C^d``."""
+    """PSD check of the pure-state constrained reduction on ``C^d``; both
+    sides vanish off ``Sym^n``, so the gap is the margin on ``Sym^n``."""
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     moment = constrained_moment(theta, n, d)
     prefactor = math.comb(n + d - 1, n) ** 3
     rhs = HermitianOperator(prefactor * moment.matrix, moment.dims)
     lhs = HermitianOperator(np.outer(theta, theta.conj()), moment.dims)
-    gap = min_eigenvalue(rhs.matrix - lhs.matrix)
+    v = _sym_isometry(n, d)
+    gap = min_eigenvalue(v.T @ (rhs.matrix - lhs.matrix) @ v)
     return ReductionCheck(
         lhs=lhs,
         rhs=rhs,
@@ -269,6 +281,8 @@ def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> Redu
     ``H^{(x) n}``, and checks that ``binom(n+d^2-1, n)^3`` times the
     H'-reduced exact moment contraction dominates ``rho``.  The per-sample
     overlap-versus-fidelity domination step is verified on Haar samples.
+    ``rho`` is permutation invariant but not Bose symmetric, so the PSD gap
+    is taken on the full space ``H^{(x) n}``.
     """
     _require_samples(samples)
     d2 = d * d
@@ -403,9 +417,9 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
     """Exact pointwise reduction for a permutation-symmetric distribution.
 
     The distribution is embedded as a diagonal state, its canonical symmetric
-    purification feeds the exact mixed-state bound operator, the operator is
-    dephased copywise, and the inequality ``P(x) <= prefactor * diag(x)`` is
-    checked for every string ``x``.
+    purification feeds the exact mixed-state bound operator, and the
+    inequality ``P(x) <= prefactor * diag(x)`` is checked for every string
+    ``x`` on the operator's diagonal (which copywise dephasing leaves as is).
     """
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != d**n:
@@ -419,8 +433,7 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
             raise ValueError("distribution is not permutation symmetric")
 
     reduced, prefactor = _h_reduced_bound(_classical_vector(w, d, n), n, d)
-    dephased = channel_on_factors(qc_dephasing_channel(d), reduced, range(n))
-    rhs_diag = prefactor * dephased.matrix.diagonal().real
+    rhs_diag = prefactor * reduced.matrix.diagonal().real
     slack = rhs_diag - w
     tol = 1e-12
     return ClassicalReductionCheck(
@@ -439,6 +452,13 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
 # truncated ambient space
 
 
+def _kept_classes(m: int, n: int, d: int, big_d: int) -> np.ndarray:
+    """Mask of the occupation classes of ``Sym^m(C^D)`` with at least ``n``
+    letters in the distinguished ``C^d``."""
+    _, counts, _ = _occupation_table(m, big_d)
+    return counts[:, :d].sum(axis=1) >= n
+
+
 def truncated_symmetric_state_vector(
     n: int, k: int, d: int, big_d: int, seed: int, *labels
 ) -> np.ndarray:
@@ -446,8 +466,8 @@ def truncated_symmetric_state_vector(
     most ``k`` letters outside the distinguished ``C^d`` subspace."""
     m = n + k
     check_side(big_d**m, "truncated symmetric vector")
-    label, counts, sizes = _occupation_table(m, big_d)
-    kept = counts[:, :d].sum(axis=1) >= n
+    label, _, sizes = _occupation_table(m, big_d)
+    kept = _kept_classes(m, n, d, big_d)
     z = stream(seed, "truncated", *labels).standard_normal((int(kept.sum()), 2))
     amp = np.zeros(len(sizes), dtype=complex)
     amp[kept] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sizes[kept])
@@ -469,15 +489,24 @@ def check_truncated_ambient_reduction(
     exact sphere-moment contractions over the distinguished subspace, with the
     complement factors confined to its orthogonal complement; the printed
     prefactor is ``sum_q binom(n+k, q) * binom(n+d-1, n)^3``.
+
+    A given ``theta`` must be symmetric with at most ``k`` letters outside
+    ``C^d``.  Then the rhs commutes with permutations and, as ``theta``, vanishes
+    off those strings, so the gap is the margin on those classes of ``Sym^m``.
     """
     if not (0 < d < big_d):
         raise ValueError("need d < D for a proper truncation")
     m = n + k
     side = big_d**m
     check_side(side, "truncated ambient check")
+    kept = _kept_classes(m, n, d, big_d)
     if theta is None:
         theta = truncated_symmetric_state_vector(n, k, d, big_d, seed)
-    theta = np.asarray(theta, dtype=complex).reshape(-1)
+    else:
+        theta = np.asarray(theta, dtype=complex).reshape(-1)
+        _require_symmetric_vector(theta, m, big_d)
+        if np.linalg.norm(theta[~kept[_occupation_table(m, big_d)[0]]]) > SYMMETRY_TOL:
+            raise ValueError(f"vector has weight on strings with more than {k} letters outside C^{d}")
 
     arr = theta.reshape((big_d,) * m)
     index = np.arange(side).reshape((big_d,) * m)
@@ -498,7 +527,8 @@ def check_truncated_ambient_reduction(
     prefactor = sum(math.comb(m, q) for q in range(k + 1)) * math.comb(n + d - 1, n) ** 3
     rhs = prefactor * (rhs + rhs.conj().T) / 2.0
     lhs = np.outer(theta, theta.conj())
-    gap = min_eigenvalue(rhs - lhs)
+    v = _sym_isometry(m, big_d)[:, kept]
+    gap = min_eigenvalue(v.T @ (rhs - lhs) @ v)
     dims = Dims((big_d,) * m)
     return ReductionCheck(
         lhs=HermitianOperator(lhs, dims),

@@ -75,6 +75,9 @@ RECURSION_TOL = 1e-12
 # slack of the conditioning demo's per-step surrogate and final q-extendible
 # bound; the conditioning suite reports it as each record's tolerance
 CONDITIONING_TOL = 1e-8
+# the trace-norm hull polish stops at this primal-dual gap, or after this many steps
+POLISH_GAP_STOP = 1e-12
+POLISH_MAX_ITERS = 800
 
 
 # ---------------------------------------------------------------------------
@@ -902,26 +905,30 @@ def framework_fidelity_from_decay(
     )
 
 
-def _closest_hull_trace_norm(rho: np.ndarray, atoms, iters: int = 800) -> np.ndarray:
+def _closest_hull_trace_norm(rho: np.ndarray, atoms) -> np.ndarray:
     """Approximate trace-norm projection onto a finite-atom hull.
 
     Warm-started from the exact Frobenius projection (minimum-norm-point
     weights), then polished by projected subgradient steps on the
-    trace-norm objective, keeping the best iterate.
+    trace-norm objective, keeping the best iterate.  With ``W`` the projector
+    onto the positive part of ``rho - sigma``, each step's primal-dual gap is
+    ``max_i Tr[W a_i] - Tr[W sigma]``; the polish stops at ``POLISH_GAP_STOP``.
     """
     from .separability import _min_norm_weights, _project_simplex
 
     basis = np.stack([np.asarray(a, dtype=complex).reshape(-1) for a in atoms])
     w = _min_norm_weights(basis - rho.reshape(-1))
     best_val, best_sigma = math.inf, None
-    for it in range(iters + 1):
+    for it in range(POLISH_MAX_ITERS + 1):
         sigma = (w @ basis).reshape(rho.shape)
-        # one eigh per iterate: its trace distance and its subgradient
+        # one eigh per iterate: its trace distance, its gap and its subgradient
         wv, vv = np.linalg.eigh(rho - sigma)
         val = float(np.abs(wv).sum() / 2.0)
         if val < best_val:
             best_val, best_sigma = val, sigma
-        if it == iters:
+        pos = vv[:, wv > 0]
+        overlaps = np.real(basis @ (pos.conj() @ pos.T).reshape(-1))  # Tr[W a_i]
+        if it == POLISH_MAX_ITERS or overlaps.max() - w @ overlaps <= POLISH_GAP_STOP:
             break
         sign = (vv * np.sign(wv)) @ vv.conj().T
         grad = np.real(basis.conj() @ (-sign).reshape(-1)) / 2.0

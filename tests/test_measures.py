@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from definetti.measures import (
-    ClassicalDistribution,
     Povm,
     _fidelity_from_root,
     _root_fidelities,
@@ -51,7 +50,7 @@ def test_fidelity_basics():
 
 
 def test_fidelity_subnormalized():
-    half = density(np.diag([0.25, 0.25]), (2,), normalized=False)
+    half = np.diag([0.25, 0.25])
     # F(M, M) = Tr M for positive operators
     assert abs(fidelity(half, half) - 0.5) < 1e-12
 
@@ -191,18 +190,6 @@ def test_classical_fidelity_over_a_stack():
     for value, q in zip(values, qs):
         assert value == classical_fidelity(p, q)
     assert isinstance(classical_fidelity(p, qs[0]), float)
-
-
-def test_classical_distribution():
-    d = ClassicalDistribution(np.array([0.25, 0.75]))
-    assert abs(d.weights.sum() - 1) < 1e-12
-    sub = ClassicalDistribution(np.array([0.25, 0.25]), normalized=False)
-    assert sub.weights.sum() <= 1
-    with pytest.raises(ValueError):
-        ClassicalDistribution(np.array([0.5, 0.6]), normalized=False)
-    back = ClassicalDistribution.from_json(d.to_json())
-    assert np.allclose(back.weights, d.weights)
-    assert d.to_json() == [0.25, 0.75]
 
 
 def test_measured_distances_trivial_povm():

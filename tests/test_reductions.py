@@ -8,7 +8,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from definetti import reductions
 from definetti.operators import (
+    HermitianOperator,
     ResourceCapError,
     density,
     haar_moment_operator,
@@ -27,6 +29,7 @@ from definetti.operators import (
 )
 from definetti.reductions import (
     _sym_gram,
+    _sym_isometry,
     check_classical_reduction,
     check_fixed_point_reduction,
     check_integrand_domination,
@@ -215,7 +218,31 @@ def test_pure_reduction_random_seeds():
         for s in range(seeds):
             theta = symmetric_state_vector(n, d, 100 + s, n, d)
             res = check_pure_reduction(theta, n, d)
-            assert res.passed, (n, d, s, res.gap_min_eig)
+            assert res.passed and res.gap_min_eig > 0.1, (n, d, s, res.gap_min_eig)
+
+
+def test_pure_reduction_fails_at_prefactor_one(monkeypatch):
+    # rhs = 1 * moment has trace 1/binom(n+d-1, n), so <theta|rhs - lhs|theta>
+    # and with it the margin on Sym^n are at most 1/binom(n+d-1, n) - 1
+    n, d = 2, 2
+    rank = math.comb(n + d - 1, n)
+    moment = reductions.constrained_moment
+    monkeypatch.setattr(
+        reductions,
+        "constrained_moment",
+        lambda theta, n, d: HermitianOperator(moment(theta, n, d).matrix / rank**3, (d,) * n),
+    )
+    res = check_pure_reduction(symmetric_state_vector(n, d, 7, "x"), n, d)
+    assert res.gap_min_eig <= 1 / rank - 1
+    assert not res.passed
+
+
+@given(n=st.integers(1, 4), d=st.integers(1, 4))
+def test_sym_isometry_spans_the_symmetric_subspace(n, d):
+    v = _sym_isometry(n, d)
+    assert v.shape == (d**n, math.comb(n + d - 1, n))
+    assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= 1e-15
+    assert np.abs(v @ v.conj().T - sym_projector(n, d).matrix).max() <= 1e-15
 
 
 def test_mixed_reduction():
@@ -345,15 +372,15 @@ def test_truncated_reduction_k0_matches_pure():
     pure = check_pure_reduction(theta2, 2, 2)
     assert res.passed
     assert res.prefactor == pure.prefactor == 27
-    # the embedded gap operator restricted to the low block matches the pure one
-    assert abs(res.gap_min_eig - min(pure.gap_min_eig, 0.0)) < 1e-9
+    # at k = 0 the kept classes are Sym^2(C^2), so the margins agree
+    assert abs(res.gap_min_eig - pure.gap_min_eig) < 1e-9
 
 
 def test_truncated_reduction_configs():
     for (d, big_d, n, k) in [(2, 3, 1, 1), (2, 3, 2, 1)]:
         for s in range(5):
             res = check_truncated_ambient_reduction(n, k, d, big_d, seed=s)
-            assert res.passed, (d, big_d, n, k, s, res.gap_min_eig)
+            assert res.passed and res.gap_min_eig > 0.1, (d, big_d, n, k, s, res.gap_min_eig)
     expected = sum(math.comb(2, q) for q in range(2)) * math.comb(2, 1) ** 3
     assert check_truncated_ambient_reduction(1, 1, 2, 3, seed=0).prefactor == expected == 24
 
@@ -433,6 +460,20 @@ def test_truncated_vector_matches_permutation_construction(d, big_d, n, k):
     for seed in range(6):
         got = truncated_symmetric_state_vector(n, k, d, big_d, seed)
         assert np.array_equal(got, permutation_truncated_vector(n, k, d, big_d, seed))
+
+
+def test_truncated_reduction_rejects_asymmetric_theta():
+    theta = np.zeros(9)
+    theta[1] = 1.0  # |0 1>
+    with pytest.raises(ValueError, match="not permutation symmetric"):
+        check_truncated_ambient_reduction(1, 1, 2, 3, seed=0, theta=theta)
+
+
+def test_truncated_reduction_rejects_weight_past_k_outside_letters():
+    theta = np.zeros(9)
+    theta[8] = 1.0  # |2 2>: symmetric, with two letters outside C^2 and k = 1
+    with pytest.raises(ValueError, match="more than 1 letters outside"):
+        check_truncated_ambient_reduction(1, 1, 2, 3, seed=0, theta=theta)
 
 
 def test_truncated_state_has_low_letter_support():

@@ -28,6 +28,7 @@ from definetti.operators import (
 )
 from definetti.repetition import (
     RECURSION_TOL,
+    _closest_hull_trace_norm,
     _local_test,
     PiecewiseTable,
     binomial_tail,
@@ -470,6 +471,18 @@ def test_framework_fidelity_plus_state():
     # the hull pass probability is the exact binomial tail at h = 1 - eta
     assert abs(rep.hull_pass - float(binomial_tail(3, 0.5, rep.threshold))) < 1e-9
     assert rep.rho_fail <= math.exp(-2 * 3 * (rep.eps - rep.alpha) ** 2) + 1e-12
+
+
+def test_trace_norm_polish_stops_at_its_duality_gap(monkeypatch):
+    # the Frobenius warm start 1/2 is already optimal for the plus state: its
+    # primal-dual gap is 0, so the polish stops after the eigh of step 0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    sigma = _closest_hull_trace_norm(plus, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert len(calls) == 1
+    assert np.abs(sigma - np.eye(2) / 2).max() <= 1e-15
 
 
 def test_framework_fidelity_holds_the_n_copy_state_to_the_side_cap():
