@@ -137,15 +137,12 @@ def _require_symmetric_vector(theta: np.ndarray, n: int, d: int) -> None:
             raise ValueError("vector is not permutation symmetric")
 
 
-@functools.lru_cache(maxsize=4)
 def _sym_isometry(n: int, d: int) -> np.ndarray:
-    """Read-only ``d^n x binom(n+d-1, n)`` isometry ``V`` onto ``Sym^n(C^d)``:
-    column ``c`` is ``1/sqrt(size)`` on each string of occupation class ``c``.
+    """``d^n x binom(n+d-1, n)`` isometry ``V`` onto ``Sym^n(C^d)``: column
+    ``c`` is ``1/sqrt(size)`` on each string of occupation class ``c``.
     ``V`` is real, so ``V^dag a V = V.T @ a @ V``."""
     label, _, sizes = _occupation_table(n, d)
-    v = np.divide(label[:, None] == np.arange(len(sizes)), np.sqrt(sizes), dtype=complex)
-    v.setflags(write=False)
-    return v
+    return np.divide(label[:, None] == np.arange(len(sizes)), np.sqrt(sizes), dtype=complex)
 
 
 @functools.lru_cache(maxsize=8)

@@ -28,6 +28,7 @@ from .operators import (
     Dims,
     HermitianOperator,
     check_side,
+    density,
     partial_trace,
     stream,
     tensor_power,
@@ -608,8 +609,9 @@ def _fw_fidelity_hull(rho: np.ndarray, atoms) -> float:
 
 
 def projective_power_family(atoms, name: str = "projective-power") -> ConstraintFamily:
-    """Hull of n-fold tensor products of a fixed set of single-copy states."""
-    mats = tuple(np.asarray(a.matrix if hasattr(a, "matrix") else a, dtype=complex) for a in atoms)
+    """Hull of n-fold tensor products of a fixed set of single-copy states; each
+    atom must pass :func:`density`: the polish's stop test needs unit trace."""
+    mats = tuple(density(m, (len(m),)).matrix for m in (getattr(a, "matrix", a) for a in atoms))
 
     def support(m: np.ndarray) -> float:
         return max(float(np.real(np.trace(m @ a))) for a in mats)

@@ -384,6 +384,8 @@ def test_invariant_violations_raise():
     with pytest.raises(ValueError):
         density(np.diag([0.7, 0.7]), (2,))
     with pytest.raises(ValueError):
+        density(np.diag([0.3, 0.3]), (2,))
+    with pytest.raises(ValueError):
         PermutationSpec((0, 0, 1))
     with pytest.raises(ValueError):
         Dims((2, 0))

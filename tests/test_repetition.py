@@ -485,6 +485,15 @@ def test_trace_norm_polish_stops_at_its_duality_gap(monkeypatch):
     assert np.abs(sigma - np.eye(2) / 2).max() <= 1e-15
 
 
+def test_projective_power_family_rejects_atoms_that_are_not_states():
+    # the polish's stop test is a primal-dual gap only for unit-trace atoms
+    for bad in (np.diag([0.5, 0.0]), np.diag([1.5, -0.5]), np.array([[0.5, 1.0], [0.0, 0.5]])):
+        with pytest.raises(ValueError):
+            projective_power_family([np.diag([1.0, 0.0]), bad])
+    fam = projective_power_family([pure_state_density(np.array([1.0, 0.0]), (2,)), np.diag([0.0, 1.0])])
+    assert np.array_equal(fam.atoms[0], np.diag([1.0, 0.0]))
+
+
 def test_framework_fidelity_holds_the_n_copy_state_to_the_side_cap():
     fam = projective_power_family([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     plus = pure_state_density(np.array([1, 1]) / math.sqrt(2), (2,))
