@@ -529,12 +529,16 @@ def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
 # channels
 
 
+def _kraus_sum(ch: KrausChannel, mats: np.ndarray) -> np.ndarray:
+    """``sum_k K mats K^dag`` on one matrix or on a stack of them."""
+    return sum(k @ mats @ k.conj().T for k in ch.kraus_ops)
+
+
 def apply_channel(ch: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply the channel; it preserves the trace."""
     if rho.dims.size != ch.in_dims.size:
         raise ValueError(f"state side {rho.dims.size} does not match channel input {ch.in_dims.size}")
-    out = sum(k @ rho.matrix @ k.conj().T for k in ch.kraus_ops)
-    return DensityMatrix(HermitianOperator(out, ch.out_dims))
+    return DensityMatrix(HermitianOperator(_kraus_sum(ch, rho.matrix), ch.out_dims))
 
 
 def channel_on_factors(ch: KrausChannel, op: HermitianOperator, positions) -> HermitianOperator:
@@ -617,6 +621,14 @@ def induced_mixed_state(dims, seed: int, *labels) -> DensityMatrix:
     vec = haar_state_vector(d * d, seed, "induced", *labels)
     red = partial_trace_vector(vec, Dims((d, d)), keep=[0])
     return DensityMatrix(red.retagged(dims))
+
+
+def _haar_stack(d: int, samples: int, seed: int, *labels, induced: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Row ``j`` is ``haar_state_vector(d * d, seed, *labels, j)`` (with ``induced``, the purification of
+    ``induced_mixed_state((d,), seed, *labels, j)``) and its reduction to the first factor."""
+    labels = ("induced", *labels) if induced else labels
+    v = np.stack([haar_state_vector(d * d, seed, *labels, j) for j in range(samples)]).reshape(samples, d, d)
+    return v.reshape(samples, -1), v @ v.conj().transpose(0, 2, 1)
 
 
 def symmetric_state_vector(n: int, d: int, seed: int, *labels) -> np.ndarray:

@@ -15,18 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measures import _fidelity_from_root, _sqrtm_psd
+from .measures import _root_fidelities, _sqrtm_psd
 from .operators import (
     DensityMatrix,
     Dims,
     HermitianOperator,
     KrausChannel,
     _digit_table,
+    _haar_stack,
+    _kraus_sum,
     _occupation_table,
     channel_on_factors,
     check_side,
-    haar_state_vector,
-    induced_mixed_state,
     min_eigenvalue,
     partial_trace,
     partial_trace_vector,
@@ -199,8 +199,8 @@ def constrained_moment(theta, n: int, d: int) -> HermitianOperator:
 
 
 def _require_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be >= 1 and an integer, got {samples!r}")
 
 
 def monte_carlo_constrained_moment(
@@ -270,6 +270,21 @@ def _h_reduced_bound(theta: np.ndarray, n: int, d: int) -> tuple[HermitianOperat
     return partial_trace(moment, range(0, 2 * n, 2)), math.comb(n + d * d - 1, n) ** 3
 
 
+def _product_fidelities(root: np.ndarray, sigmas: np.ndarray, n: int) -> np.ndarray:
+    """``F(rho, sigma_j^{(x) n})`` for a ``(samples, d, d)`` stack, given ``root = sqrt(rho)``:
+    powers by broadcast outer products in ``np.kron`` order, one stacked ``eigvalsh`` per block."""
+    samples, d, _ = sigmas.shape
+    check_side(d**n, "tensor product")
+    step = max(1, 2**18 // d ** (2 * n))  # at most 2^18 entries (4 MB) per stacked power
+    if samples > step:
+        return np.concatenate([_product_fidelities(root, sigmas[lo : lo + step], n) for lo in range(0, samples, step)])
+    power = sigmas
+    for k in range(2, n + 1):
+        power = (power[:, :, None, :, None] * sigmas[:, None, :, None, :]).reshape(samples, d**k, d**k)
+    inner = root @ power @ root
+    return _root_fidelities((inner + inner.conj().transpose(0, 2, 1)) / 2.0)
+
+
 def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> ReductionCheck:
     """PSD check of the mixed-state constrained reduction.
 
@@ -289,16 +304,11 @@ def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> Redu
     rhs = HermitianOperator(prefactor * reduced.matrix, reduced.dims)
     gap = min_eigenvalue(rhs.matrix - rho.matrix)
 
-    rho_root = _sqrtm_psd(rho.matrix)
-    margins = np.empty(samples)
-    for j in range(samples):
-        psi = haar_state_vector(d2, seed, "mixed-fid", j)
-        v = psi
-        for _ in range(n - 1):
-            v = np.kron(v, psi)
-        overlap = abs(np.vdot(theta, v))
-        sigma = partial_trace_vector(psi, Dims((d, d)), [0])
-        margins[j] = _fidelity_from_root(rho_root, tensor_power(sigma, n).matrix) - overlap
+    psi, sigmas = _haar_stack(d, samples, seed, "mixed-fid")
+    power = psi
+    for _ in range(n - 1):
+        power = (power[:, :, None] * psi[:, None, :]).reshape(samples, -1)
+    margins = _product_fidelities(_sqrtm_psd(rho.matrix), sigmas, n) - np.abs(power @ theta.conj())
     fid_ok = bool(margins.min() >= -GAP_TOL)
 
     return ReductionCheck(
@@ -338,24 +348,21 @@ def check_integrand_domination(
     neighbourhood of ``tau0`` under the channel.
     """
     _require_samples(samples)
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
     n = _copies_of(rho, ch)
+    if tau0.dims.size != ch.out_dims.size:
+        raise ValueError(f"target side {tau0.dims.size} is not the channel output side {ch.out_dims.size}")
     mapped = channel_on_factors(ch, rho.op, range(n))
     target = tensor_power(tau0.op, n)
     defect = float(np.linalg.norm(mapped.matrix - target.matrix))
     if defect > PRECONDITION_TOL:
         raise ValueError(f"channel power of the state is not the target power: {defect:.3e}")
     d = ch.in_dims.size
-    rho_root = _sqrtm_psd(rho.matrix)
-    tau0_root = _sqrtm_psd(tau0.matrix)
-    margins = np.empty(samples)
-    near = 0
-    for j in range(samples):
-        sigma = induced_mixed_state((d,), seed, "domination", j)
-        lhs = _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix) ** 2
-        f_single = _fidelity_from_root(tau0_root, channel_on_factors(ch, sigma.op, [0]).matrix)
-        margins[j] = f_single ** (2 * n) - lhs
-        if f_single >= 1.0 - delta:
-            near += 1
+    _, sigmas = _haar_stack(d, samples, seed, "domination", induced=True)
+    f_single = _product_fidelities(_sqrtm_psd(tau0.matrix), _kraus_sum(ch, sigmas), 1)
+    margins = f_single ** (2 * n) - _product_fidelities(_sqrtm_psd(rho.matrix), sigmas, n) ** 2
+    near = int((f_single >= 1.0 - delta).sum())
     return SampledCheck(
         margins=margins,
         min_margin=float(margins.min()),
@@ -384,13 +391,9 @@ def check_fixed_point_reduction(
     if defect > PRECONDITION_TOL:
         raise ValueError(f"state is not a fixed point of the channel power: {defect:.3e}")
     d = ch.in_dims.size
-    rho_root = _sqrtm_psd(rho.matrix)
-    margins = np.empty(samples)
-    for j in range(samples):
-        sigma = induced_mixed_state((d,), seed, "fixed-point", j)
-        mapped_sigma = channel_on_factors(ch, sigma.op, [0])
-        after = _fidelity_from_root(rho_root, tensor_power(mapped_sigma, n).matrix)
-        margins[j] = after - _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix)
+    _, sigmas = _haar_stack(d, samples, seed, "fixed-point", induced=True)
+    root = _sqrtm_psd(rho.matrix)
+    margins = _product_fidelities(root, _kraus_sum(ch, sigmas), n) - _product_fidelities(root, sigmas, n)
     return SampledCheck(
         margins=margins,
         min_margin=float(margins.min()),

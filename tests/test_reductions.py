@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti import reductions
+from definetti.measures import _fidelity_from_root, _sqrtm_psd
 from definetti.operators import (
+    Dims,
     HermitianOperator,
     ResourceCapError,
+    _haar_stack,
+    channel_on_factors,
     density,
     haar_moment_operator,
     haar_state_vector,
     identity_channel,
     induced_mixed_state,
+    partial_trace_vector,
     pauli_twirl_channel,
     permutation_twirl,
     pure_state_density,
@@ -26,8 +31,10 @@ from definetti.operators import (
     stream,
     sym_projector,
     symmetric_state_vector,
+    tensor_power,
 )
 from definetti.reductions import (
+    _product_fidelities,
     _sym_gram,
     _sym_isometry,
     check_classical_reduction,
@@ -331,6 +338,189 @@ def test_fixed_point_rejects_no_samples():
     rho = induced_mixed_state((2, 2), 11)
     with pytest.raises(ValueError, match="samples must be >= 1"):
         check_fixed_point_reduction(rho, identity_channel((2,)), samples=0)
+
+
+# the per-sample loops the stacked kernel replaced, one eigh per fidelity
+
+
+def _loop_mixed_margins(n, d, seed, samples):
+    theta = symmetric_state_vector(n, d * d, seed, "mixed-reduction")
+    rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
+    rho_root = _sqrtm_psd(rho.matrix)
+    margins = np.empty(samples)
+    for j in range(samples):
+        psi = haar_state_vector(d * d, seed, "mixed-fid", j)
+        v = psi
+        for _ in range(n - 1):
+            v = np.kron(v, psi)
+        overlap = abs(np.vdot(theta, v))
+        sigma = partial_trace_vector(psi, Dims((d, d)), [0])
+        margins[j] = _fidelity_from_root(rho_root, tensor_power(sigma, n).matrix) - overlap
+    return margins
+
+
+def _loop_integrand_margins(rho, ch, tau0, samples, delta, seed):
+    n, d = len(rho.dims), ch.in_dims.size
+    rho_root = _sqrtm_psd(rho.matrix)
+    tau0_root = _sqrtm_psd(tau0.matrix)
+    margins = np.empty(samples)
+    near = 0
+    for j in range(samples):
+        sigma = induced_mixed_state((d,), seed, "domination", j)
+        lhs = _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix) ** 2
+        f_single = _fidelity_from_root(tau0_root, channel_on_factors(ch, sigma.op, [0]).matrix)
+        margins[j] = f_single ** (2 * n) - lhs
+        if f_single >= 1.0 - delta:
+            near += 1
+    return margins, near / samples
+
+
+def _loop_fixed_point_margins(rho, ch, samples, seed):
+    n, d = len(rho.dims), ch.in_dims.size
+    rho_root = _sqrtm_psd(rho.matrix)
+    margins = np.empty(samples)
+    for j in range(samples):
+        sigma = induced_mixed_state((d,), seed, "fixed-point", j)
+        mapped_sigma = channel_on_factors(ch, sigma.op, [0])
+        after = _fidelity_from_root(rho_root, tensor_power(mapped_sigma, n).matrix)
+        margins[j] = after - _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix)
+    return margins
+
+
+def _assert_margins_match(new, ref):
+    # margins are differences of fidelities, which lie in [0, 1]
+    assert np.abs(new - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
+    assert (new.min() >= -reductions.GAP_TOL) == (ref.min() >= -reductions.GAP_TOL)
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("seed", [0, 5, 14])
+def test_mixed_reduction_matches_the_per_sample_loop(n, d, seed):
+    # the (2, 3) moment has side 9^4 = 6561, over the default cap
+    set_max_side((d * d) ** (2 * n))
+    res = check_mixed_reduction(n, d, seed=seed, samples=40)
+    ref = _loop_mixed_margins(n, d, seed, 40)
+    _assert_margins_match(np.array([res.extras["fidelity_domination_min_margin"]]), np.array([ref.min()]))
+    assert res.passed == (res.gap_min_eig >= -reductions.GAP_TOL and ref.min() >= -reductions.GAP_TOL)
+
+
+def _product_image_cases(seed):
+    """``(rho, channel, tau0)`` with ``channel^n(rho) = tau0^n = rho``: a
+    dephased diagonal state, the maximally mixed state under the completely
+    depolarizing channel, and ``I/4`` under the Pauli twirl."""
+    p = stream(seed, "product-image").dirichlet([1.0, 1.0, 1.0])
+    diag = density(np.diag(p).astype(complex), (3,))
+    yield density(np.kron(diag.matrix, diag.matrix), (3, 3)), qc_dephasing_channel(3), diag
+    mixed = density(np.eye(2) / 2, (2,))
+    yield density(np.eye(8) / 8, (2, 2, 2)), completely_depolarizing_channel(2), mixed
+    yield density(np.eye(4) / 4, (2, 2)), pauli_twirl_channel(), mixed
+
+
+@pytest.mark.parametrize("seed", [1, 8, 21])
+def test_fixed_point_and_integrand_match_the_per_sample_loops(seed):
+    for rho, ch, tau0 in _product_image_cases(seed):
+        res = check_fixed_point_reduction(rho, ch, samples=60, seed=seed)
+        ref = _loop_fixed_point_margins(rho, ch, 60, seed)
+        _assert_margins_match(res.margins, ref)
+        assert res.passed == (ref.min() >= -reductions.GAP_TOL)
+        for delta in (0.0, 0.05, 0.3):
+            res = check_integrand_domination(rho, ch, tau0, samples=60, delta=delta, seed=seed)
+            ref, mass = _loop_integrand_margins(rho, ch, tau0, 60, delta, seed)
+            _assert_margins_match(res.margins, ref)
+            assert res.passed == (ref.min() >= -reductions.GAP_TOL)
+            assert res.extras["mass_in_kdelta"] == mass
+
+
+def test_stacked_fidelities_in_blocks_match_one_row_at_a_time(monkeypatch):
+    # side 32 leaves 2^18 / 32^2 = 256 rows per stacked block, so 300 rows
+    # take two blocks
+    _, sigmas = _haar_stack(2, 300, 2, "blocks", induced=True)
+    root = _sqrtm_psd(induced_mixed_state((2,) * 5, 2).matrix)
+    calls = _count_eigensolver_calls(monkeypatch)
+    values = _product_fidelities(root, sigmas, 5)
+    assert len(calls) == 2
+    rows = np.concatenate([_product_fidelities(root, sigmas[j : j + 1], 5) for j in range(300)])
+    assert_allclose(values, rows, rtol=0, atol=1e-14)
+
+
+def test_haar_stack_rows_are_the_single_samples():
+    vecs, states = _haar_stack(3, 5, 4, "mixed-fid")
+    for j in range(5):
+        assert np.array_equal(vecs[j], haar_state_vector(9, 4, "mixed-fid", j))
+        assert_allclose(states[j], partial_trace_vector(vecs[j], Dims((3, 3)), [0]).matrix, rtol=0, atol=1e-15)
+    _, states = _haar_stack(2, 5, 4, "domination", induced=True)
+    for j in range(5):
+        assert_allclose(states[j], induced_mixed_state((2,), 4, "domination", j).matrix, rtol=0, atol=1e-15)
+
+
+def _count_eigensolver_calls(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_sampled_checks_make_a_few_stacked_eigensolver_calls(monkeypatch):
+    # a count, not a timing: one eigh per fidelity made 102, 201 and 202 calls here
+    tau0 = density(np.diag([0.7, 0.3]).astype(complex), (2,))
+    rho = density(np.kron(tau0.matrix, tau0.matrix), (2, 2))
+    calls = _count_eigensolver_calls(monkeypatch)
+    check_mixed_reduction(2, 2, seed=3, samples=100)
+    assert len(calls) <= 8
+    calls.clear()
+    check_fixed_point_reduction(rho, qc_dephasing_channel(2), samples=100, seed=3)
+    assert len(calls) <= 8
+    calls.clear()
+    check_integrand_domination(rho, qc_dephasing_channel(2), tau0, samples=100, seed=3)
+    assert len(calls) <= 8
+
+
+def test_sampled_checks_keep_the_side_cap():
+    rho = density(np.eye(8) / 8, (2, 2, 2))
+    tau0 = density(np.eye(2) / 2, (2,))
+    set_max_side(4)
+    with pytest.raises(ResourceCapError):
+        check_fixed_point_reduction(rho, pauli_twirl_channel(), samples=3)
+    with pytest.raises(ResourceCapError):
+        check_integrand_domination(rho, pauli_twirl_channel(), tau0, samples=3)
+
+
+def test_integrand_domination_rejects_a_target_of_the_wrong_side():
+    rho = density(np.eye(4) / 4, (2, 2))
+    tau0 = density(np.eye(3) / 3, (3,))
+    with pytest.raises(ValueError, match="target side 3 is not the channel output side 2"):
+        check_integrand_domination(rho, pauli_twirl_channel(), tau0, samples=3)
+
+
+@pytest.mark.parametrize("delta", [-1.0, 1.5, float("nan")])
+def test_integrand_domination_rejects_delta_outside_the_unit_interval(delta):
+    rho = density(np.eye(4) / 4, (2, 2))
+    tau0 = density(np.eye(2) / 2, (2,))
+    with pytest.raises(ValueError, match=r"delta must lie in \[0, 1\]"):
+        check_integrand_domination(rho, pauli_twirl_channel(), tau0, samples=3, delta=delta)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "3", np.float64(4.0)])
+def test_sampled_checks_reject_non_integer_samples(samples):
+    rho = density(np.eye(4) / 4, (2, 2))
+    with pytest.raises(ValueError, match="samples must be >= 1 and an integer"):
+        check_mixed_reduction(2, 2, seed=1, samples=samples)
+    with pytest.raises(ValueError, match="samples must be >= 1 and an integer"):
+        check_fixed_point_reduction(rho, pauli_twirl_channel(), samples=samples)
+    with pytest.raises(ValueError, match="samples must be >= 1 and an integer"):
+        monte_carlo_constrained_moment(symmetric_state_vector(2, 2, 1), 2, 2, samples=samples, seed=1)
+
+
+def test_sampled_checks_accept_numpy_integer_samples():
+    rho = density(np.eye(4) / 4, (2, 2))
+    res = check_fixed_point_reduction(rho, pauli_twirl_channel(), samples=np.int64(7))
+    assert res.margins.shape == (7,)
 
 
 def test_classical_reduction_uniform():
