@@ -1,14 +1,15 @@
 """Support functions and distances relative to separable and extendible sets.
 
 The separable set enters only through its pure-product extreme points, so a
-seesaw over local top eigenvectors serves as the linear maximization oracle
-for everything here: lower bounds on the separability support function,
-Frank-Wolfe maximization of fidelity to the separable set, a Gilbert-style
-upper bound on the 2-norm distance, and a fixed-POVM upper bound on the
-measured fidelity.  The q-extendible support function needs no optimizer at
-all; it is an exact top eigenvalue of a one-sided twirl, taken one S_q irrep
-at a time from U(db) generators (``_irrep_blocks``): no array has ``db**q``
-rows, and the side cap holds the level side ``da * sum_lambda dim_lambda``.
+seesaw over local top eigenvectors (one generator per call; Bloch coordinates
+on a 2x2 cut) serves as the linear maximization oracle for everything here:
+lower bounds on the separability support function, Frank-Wolfe maximization
+of fidelity to the separable set, a Gilbert-style upper bound on the 2-norm
+distance, and a fixed-POVM upper bound on the measured fidelity.  The
+q-extendible support function needs no optimizer at all; it is an exact top
+eigenvalue of a one-sided twirl, taken one S_q irrep at a time from U(db)
+generators (``_irrep_blocks``): no array has ``db**q`` rows, and the side cap
+holds the level side ``da * sum_lambda dim_lambda``.
 """
 
 from __future__ import annotations
@@ -191,15 +192,35 @@ def _top_eigpair(mat: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[-1]), _fix_phase(v[:, -1])
 
 
-def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+# 1, X, Y, Z; vec(M) @ _PAULI_PAIRS lists Tr[M (sigma_mu (x) sigma_nu)] by (mu, nu)
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_PAIRS = np.einsum("mab,ncd->bdacmn", _PAULIS, _PAULIS).reshape(16, 16)
 
 
-def _outer_rows(x: np.ndarray) -> np.ndarray:
-    """Row ``r`` is ``conj(x[r]) (x) x[r]`` flattened: the ``(R, n*n)`` stack
-    that contracts a vectorized ``n x n`` block."""
-    return (x.conj()[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+def _eig_half_step(y: np.ndarray, k: np.ndarray, x: np.ndarray):
+    """Top eigenpairs of the contractions ``vec(conj(y[r]) (x) y[r]) @ k``, one per row."""
+    n = math.isqrt(k.shape[1])
+    w, v = np.linalg.eigh(((y.conj()[:, :, None] * y[:, None, :]).reshape(len(y), -1) @ k).reshape(-1, n, n))
+    return v[:, :, -1], w[:, -1]
+
+
+def _bloch_half_step(y: np.ndarray, k: np.ndarray, x: np.ndarray):
+    """The same on a qubit pair in Bloch rows ``(1, s)``: the contraction is
+    ``r . sigma`` for ``r = y @ k``, so its top eigenpair is ``r0 + |r|`` at
+    ``s = r / |r|``.  A row with ``r = 0`` (a multiple of 1) keeps ``x``."""
+    r = y @ k
+    norm = np.linalg.norm(r[:, 1:], axis=1)
+    flat = norm == 0.0
+    s = np.where(flat[:, None], x, r / np.where(flat, 1.0, norm)[:, None])
+    s[:, 0] = 1.0
+    return s, r[:, 0] + norm
+
+
+def _bloch_ket(s: np.ndarray) -> np.ndarray:
+    """The unit ket of Bloch row ``s``: the longer column of its projector ``s . sigma / 2``."""
+    p = np.tensordot(s, _PAULIS, 1)
+    col = p[:, np.argmax(p.diagonal().real)]
+    return col / np.linalg.norm(col)
 
 
 def _seesaw_product_max(
@@ -215,32 +236,39 @@ def _seesaw_product_max(
 
     Works for any Hermitian ``M``; the value sequence is non-decreasing per
     iteration.  All starts (``initial_points`` first, then ``restarts``
-    seeded ones) run in lock-step: each half-step is one matrix product for
-    the local contractions of every active start and one stacked ``eigh``.
-    The contractions use ``conj(x) (x) x``, blind to phases, so only the
-    returned pair goes through ``_fix_phase``.  A start stops on its own
-    once its value gains less than ``SEESAW_STOP``; ``iterations`` sums the
-    per-start counts.  Ties between starts resolve to the lowest index.
+    drawn at once from ``stream(seed, "seesaw-starts")``) run in lock-step:
+    each half-step is one matrix product for the local contractions of every
+    active start and one stacked ``eigh``, blind to phases (``conj(x) (x)
+    x``), so only the returned pair goes through ``_fix_phase``.  A 2x2 cut
+    runs in Bloch rows, with no eigensolver: ``<ab|M|ab> = (1, s_a) T (1,
+    s_b)`` for ``T[mu, nu] = Tr[M (sigma_mu (x) sigma_nu)] / 4``.  A start
+    stops once its value gains less than ``SEESAW_STOP``; ``iterations`` sums
+    the per-start counts.  Ties between starts resolve to the lowest index.
     """
-    starts = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in initial_points]
-    for r in range(restarts):
-        rng = stream(seed, "seesaw-restart", r)
-        starts.append((_random_unit(rng, da), _random_unit(rng, db)))
-    A = np.stack([a / np.linalg.norm(a) for a, _ in starts])
-    B = np.stack([b / np.linalg.norm(b) for _, b in starts])
-    m4 = matrix.reshape(da, db, da, db)
-    # KA[(a, c), (i, j)] = KB[(i, j), (a, c)] = M[(a, i), (c, j)], so that
-    # <b|M|b> = KA @ vec(conj(b) (x) b) and <a|M|a> = KB @ vec(conj(a) (x) a)
-    ka_t = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db).T
-    kb_t = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da).T
-    n = len(starts)
+    # the draw has real and imaginary planes, each with A's entries then B's
+    g = stream(seed, "seesaw-starts").standard_normal((restarts, 2, da + db))
+    z, k = g[:, 0] + 1j * g[:, 1], len(initial_points)
+    A = np.concatenate([np.asarray([a for a, _ in initial_points], dtype=complex).reshape(k, da), z[:, :da]])
+    B = np.concatenate([np.asarray([b for _, b in initial_points], dtype=complex).reshape(k, db), z[:, da:]])
+    A, B = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in (A, B))
+    if (da, db) == (2, 2):
+        t = (matrix.reshape(-1) @ _PAULI_PAIRS).real.reshape(4, 4) / 4.0
+        ka_t, kb_t, half_step, ket = t.T, t, _bloch_half_step, _bloch_ket
+        A, B = (np.einsum("ri,mij,rj->rm", X.conj(), _PAULIS, X).real for X in (A, B))
+    else:
+        m4 = matrix.reshape(da, db, da, db)
+        # KA[(a, c), (i, j)] = KB[(i, j), (a, c)] = M[(a, i), (c, j)], so that
+        # <b|M|b> = KA @ vec(conj(b) (x) b) and <a|M|a> = KB @ vec(conj(a) (x) a)
+        ka_t = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db).T
+        kb_t = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da).T
+        half_step, ket = _eig_half_step, np.asarray
+    n = len(A)
     values, iters, converged = np.empty(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     # the active starts' rows, in index order, and their last values
     active, a, b, last = np.arange(n), A, B, np.full(n, -np.inf)
     for it in range(1, max_iters + 1):
-        a = np.linalg.eigh((_outer_rows(b) @ ka_t).reshape(-1, da, da))[1][:, :, -1]
-        w, v = np.linalg.eigh((_outer_rows(a) @ kb_t).reshape(-1, db, db))
-        new, b = w[:, -1], v[:, :, -1]
+        a, _ = half_step(b, ka_t, a)
+        b, new = half_step(a, kb_t, b)
         done = new - last < SEESAW_STOP
         if done.any():
             stop = active[done]
@@ -257,10 +285,10 @@ def _seesaw_product_max(
     for r in range(1, n):
         if values[r] > values[best] + 1e-15:
             best = r
-    a, b = _fix_phase(A[best]), _fix_phase(B[best])
-    value = float(np.real(np.vdot(np.kron(a, b), matrix @ np.kron(a, b))))
+    a, b = _fix_phase(ket(A[best])), _fix_phase(ket(B[best]))
+    v = np.multiply.outer(a, b).ravel()
     return SeesawResult(
-        value=value,
+        value=float(np.real(np.vdot(v, matrix @ v))),
         a_vec=a,
         b_vec=b,
         iterations=int(iters.sum()),
@@ -279,6 +307,13 @@ def _require_contraction(matrix: np.ndarray) -> np.ndarray:
     return w
 
 
+def _require_restarts(restarts, initial_points=()) -> None:
+    """Raise unless ``restarts`` is an integer that leaves the seesaw a start."""
+    least = 0 if len(initial_points) else 1
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < least:
+        raise ValueError(f"restarts must be an integer >= {least}, got {restarts!r}")
+
+
 def hsep_seesaw(
     m: HermitianOperator,
     cut: BipartiteCut,
@@ -289,11 +324,14 @@ def hsep_seesaw(
     """Seesaw lower bound on the separability support function of ``m``.
 
     Alternates exact local updates: with ``b`` fixed the optimal ``a`` is the
-    top eigenvector of the contraction ``<b|M|b>``, and symmetrically.  All
-    restarts run in lock-step and ties between them go to the lowest index
-    (``initial_points`` come first).  The reported value is re-evaluated
-    from the returned vectors.  Requires ``0 <= M <= 1``.
+    top eigenvector of the contraction ``<b|M|b>``, and symmetrically (in
+    closed form, in Bloch coordinates, on a 2x2 cut).  The random starts come
+    from one generator per call; all starts run in lock-step and ties between
+    them go to the lowest index (``initial_points`` come first).  The
+    reported value is re-evaluated from the returned vectors.  Requires
+    ``0 <= M <= 1``.
     """
+    _require_restarts(restarts, initial_points)
     matrix, da, db = _regroup(m, cut)
     _require_contraction(matrix)
     return _seesaw_product_max(matrix, da, db, restarts, SEESAW_MAX_ITERS, seed, initial_points)
@@ -456,7 +494,7 @@ def _interval_from_seesaw(
 
 
 def _atom_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    v = np.kron(a, b)
+    v = np.multiply.outer(a, b).ravel()
     return np.outer(v, v.conj())
 
 
@@ -565,6 +603,7 @@ def max_fidelity_to_sep(
     mixture is separable by construction and re-evaluates to the reported
     value.
     """
+    _require_restarts(restarts)
     matrix, da, db = _regroup(rho.op, cut)
 
     def lmo(grad, it):
@@ -653,6 +692,7 @@ def hs_distance_to_sep(
     non-increasing.  ``converged`` says whether the oracle's gain fell to
     1e-13 before ``iters`` rounds ran out.
     """
+    _require_restarts(restarts)
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
     atoms = _identity_atoms(da, db)
@@ -737,6 +777,7 @@ def measured_fidelity_to_sep_upper(
     from above through the Frank-Wolfe linearization gap, with the linear
     oracle bounded by a q-extension relaxation.
     """
+    _require_restarts(restarts)
     matrix, da, db = _regroup(rho.op, cut)
     povm = product_povm(povm_a, povm_b)
     if povm.side != da * db:
@@ -846,8 +887,7 @@ def recheck_certificate(obj: dict) -> tuple[float, float, bool]:
         raise ValueError("malformed certificate weights")
     mix = sum(w * _atom_matrix(a, b) for w, (a, b) in zip(weights, atoms))
     if kind == "hsep_seesaw":
-        a, b = atoms[0]
-        v = np.kron(a, b)
+        v = np.multiply.outer(*atoms[0]).ravel()
         recomputed = float(np.real(np.vdot(v, matrix @ v)))
     elif kind == "fidelity_mixture":
         recomputed = fidelity(matrix, mix)

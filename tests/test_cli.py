@@ -219,6 +219,14 @@ def test_hsep_q_max_zero_means_no_interval(tmp_path, singlet_file, capsys):
     assert err.startswith("definetti: ") and "q_max" in err and err.count("\n") == 1, err
 
 
+def test_hsep_rejects_bad_restarts(tmp_path, singlet_file, capsys):
+    for bad in ("0", "-3"):
+        code = main(["hsep", "--op", singlet_file, "--restarts", bad, "--out", str(tmp_path / "h.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("definetti: ") and "restarts" in err and err.count("\n") == 1, err
+
+
 def test_conditioning_demo_cli(tmp_path):
     traj = tmp_path / "traj.csv"
     code, blob = run(

@@ -35,7 +35,6 @@ from definetti.separability import (
     _line_max,
     _min_norm_weights,
     _product_lmo_upper,
-    _random_unit,
     _seesaw_product_max,
     _top_eigpair,
     certificate_to_json,
@@ -146,9 +145,9 @@ def serial_seesaw(matrix, da, db, restarts, max_iters, seed, initial_points=()):
     """
     m4 = matrix.reshape(da, db, da, db)
     starts = [(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)) for a, b in initial_points]
-    for r in range(restarts):
-        rng = stream(seed, "seesaw-restart", r)
-        starts.append((_random_unit(rng, da), _random_unit(rng, db)))
+    # one draw per call: real and imaginary planes, A's entries then B's
+    g = stream(seed, "seesaw-starts").standard_normal((restarts, 2, da + db))
+    starts += [(z[:da], z[da:]) for z in g[:, 0] + 1j * g[:, 1]]
     best = None
     total = 0
     for a, b in starts:
@@ -181,6 +180,87 @@ def test_batched_seesaw_matches_serial_reference(da, db):
         assert res.converged == converged
         assert np.allclose(res.a_vec, a, atol=1e-8) and np.allclose(res.b_vec, b, atol=1e-8)
         assert res.restarts == 8 and res.seed == i
+
+
+@given(
+    starts=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bloch_seesaw_matches_serial_reference(starts, seed):
+    # a 2x2 cut runs in Bloch coordinates; the reference takes eigenvectors
+    rng = np.random.default_rng(seed)
+    m = random_hermitian(4, rng)
+    points = [tuple(rng.standard_normal((2, 2, 2)) @ [1.0, 1j]) for _ in range(starts)]
+    res = _seesaw_product_max(m, 2, 2, restarts=0, max_iters=200, seed=0, initial_points=points)
+    value, _, _, iterations, converged = serial_seesaw(m, 2, 2, 0, 200, 0, initial_points=points)
+    assert abs(res.value - value) <= 1e-12
+    assert res.iterations == iterations and res.converged == converged
+
+
+X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((4, 4)),
+        np.eye(4),
+        np.kron(X, np.eye(2)),
+        np.kron(np.eye(2), Z),
+        np.diag([1.0, 0.0, 0.0, 1.0]),
+        np.diag([0.0, 1.0, 0.0, 0.0]),
+    ],
+    ids=["zero", "identity", "X(x)1", "1(x)Z", "00+11", "01"],
+)
+def test_bloch_seesaw_degenerate_operators(m):
+    # a contraction that is a multiple of 1 keeps the start's vector
+    res = _seesaw_product_max(m, 2, 2, restarts=4, max_iters=50, seed=1)
+    for vec in (res.a_vec, res.b_vec):
+        assert np.isfinite(vec).all() and abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    v = np.kron(res.a_vec, res.b_vec)
+    assert abs(float(np.real(np.vdot(v, m @ v))) - res.value) <= 1e-15
+    assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12
+
+
+def test_seesaw_eigh_calls(monkeypatch):
+    rng = stream(13, "eigh-count")
+    qubits, qutrits = random_contraction(4, rng), random_contraction(9, rng)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    res = hsep_seesaw(hermitian(qubits, (2, 2)), CUT, restarts=6, seed=2)
+    assert res.iterations > 0 and not calls
+    # other cuts: two stacked calls per lock-step iteration, here five that
+    # no start leaves early
+    res = _seesaw_product_max(qutrits, 3, 3, restarts=6, max_iters=5, seed=2)
+    assert res.iterations == 30 and not res.converged
+    assert len(calls) == 10
+
+
+def test_seesaw_rejects_bad_restarts():
+    rho = density(np.eye(4) / 4, (2, 2))
+    pauli = pauli_tomography_povm()
+    calls = [
+        lambda r: hsep_seesaw(SINGLET, CUT, restarts=r),
+        lambda r: hsep_certified_interval(SINGLET, CUT, restarts=r),
+        lambda r: max_fidelity_to_sep(rho, CUT, restarts=r),
+        lambda r: hs_distance_to_sep(rho, CUT, restarts=r),
+        lambda r: measured_fidelity_to_sep_upper(rho, CUT, pauli, pauli, restarts=r),
+    ]
+    for call in calls:
+        for bad in (0, -3, 2.5, "4", True):
+            with pytest.raises(ValueError, match="restarts"):
+                call(bad)
+    # an initial point is a start of its own, and must match the cut's sides
+    e0 = np.array([1.0, 0.0])
+    assert hsep_seesaw(SINGLET, CUT, restarts=0, initial_points=[(e0, e0)]).restarts == 1
+    with pytest.raises(ValueError):
+        hsep_seesaw(SINGLET, CUT, restarts=0, initial_points=[(np.ones(3), np.ones(1))])
 
 
 def test_seesaw_ties_go_to_lowest_restart():
@@ -656,8 +736,10 @@ def test_hs_distance_singlet_werner_oracle():
     assert abs(oracle - 1.0 / math.sqrt(3)) < 1e-6
     res = hs_distance_to_sep(SINGLET_DM, CUT, iters=200, seed=5)
     assert res.value <= oracle + 1e-6
-    # exact mixture weights every round: few rounds, at the closed form
-    assert res.converged and res.iterations <= 20
+    # exact mixture weights every round: far fewer rounds than the cap, at the
+    # closed form.  The count follows the seesaw's random starts: over seeds
+    # 0-59 its median is 12, and about one seed in seven needs 20-28 rounds
+    assert res.converged and res.iterations <= 30
     assert abs(res.value - 1.0 / math.sqrt(3)) <= 1e-12
 
 
