@@ -5,7 +5,8 @@ seesaw over local top eigenvectors (one generator per call; Bloch coordinates
 on a 2x2 cut) serves as the linear maximization oracle for everything here:
 lower bounds on the separability support function, Frank-Wolfe maximization
 of fidelity to the separable set, a Gilbert-style upper bound on the 2-norm
-distance, and a fixed-POVM upper bound on the measured fidelity.  The
+distance (whose oracle on a 2x2 cut searches the whole Bloch sphere
+instead), and a fixed-POVM upper bound on the measured fidelity.  The
 q-extendible support function needs no optimizer at all; it is an exact top
 eigenvalue of a one-sided twirl, taken one S_q irrep at a time from U(db)
 generators (``_irrep_blocks``): no array has ``db**q`` rows, and the side cap
@@ -197,7 +198,7 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 _PAULI_PAIRS = np.einsum("mab,ncd->bdacmn", _PAULIS, _PAULIS).reshape(16, 16)
 
 
-def _eig_half_step(y: np.ndarray, k: np.ndarray, x: np.ndarray):
+def _eig_half_step(y: np.ndarray, k: np.ndarray):
     """Top eigenpairs of the contractions ``vec(conj(y[r]) (x) y[r]) @ k``, one per row."""
     n = math.isqrt(k.shape[1])
     w, v = np.linalg.eigh(((y.conj()[:, :, None] * y[:, None, :]).reshape(len(y), -1) @ k).reshape(-1, n, n))
@@ -223,6 +224,39 @@ def _bloch_ket(s: np.ndarray) -> np.ndarray:
     return col / np.linalg.norm(col)
 
 
+# grids on [-1, 1]^3: _ZOOM holds 0, so a zoom step loses no ground; _SPHERE is
+# pushed onto the sphere, and its points' neighbours are those on the cube
+_ZOOM = np.mgrid[-1:1:5j, -1:1:5j, -1:1:5j].reshape(3, -1).T
+_SPHERE = np.mgrid[-1:1:12j, -1:1:12j, -1:1:12j].reshape(3, -1).T
+_SPHERE /= np.linalg.norm(_SPHERE, axis=1, keepdims=True)
+
+
+def _bloch_product_max(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Phase-fixed kets of the largest ``<ab|M|ab>`` on a qubit pair, over B's
+    whole Bloch sphere: ``max_a <ab|M|ab> = r0 + |r|`` for ``r = T (1, s_b)``.
+    The 16 highest points of ``_SPHERE`` that are no lower than their
+    neighbours each start a zoom: ``_ZOOM`` around the point, pushed onto the
+    sphere, its width halving down to 1e-8."""
+    t = (matrix.reshape(-1) @ _PAULI_PAIRS).real.reshape(4, 4) / 4.0
+
+    def value(c):
+        r = c @ t[:, 1:].T + t[:, 0]
+        return r[:, 0] + np.sqrt(np.einsum("ij,ij->i", r[:, 1:], r[:, 1:]))
+
+    v = value(_SPHERE)
+    w = np.pad(v.reshape(12, 12, 12), 1, constant_values=-np.inf)
+    top = functools.reduce(np.maximum, (w[i : i + 12, j : j + 12, k : k + 12] for i, j, k in np.ndindex(3, 3, 3)))
+    peaks = np.flatnonzero(v >= top.reshape(-1))
+    p, h = _SPHERE[peaks[np.argsort(v[peaks])[-16:]]], 0.25
+    while h > 1e-8:
+        c = (p[:, None] + h * _ZOOM).reshape(-1, 3)
+        c /= np.sqrt(np.einsum("ij,ij->i", c, c))[:, None]
+        v = value(c).reshape(len(p), -1)
+        p, h = c.reshape(len(p), -1, 3)[np.arange(len(p)), v.argmax(axis=1)], h / 2.0
+    row = np.append(1.0, p[np.argmax(value(p))])[None]
+    return _fix_phase(_bloch_ket(_bloch_half_step(row, t.T, row)[0][0])), _fix_phase(_bloch_ket(row[0]))
+
+
 def _seesaw_product_max(
     matrix: np.ndarray,
     da: int,
@@ -245,15 +279,16 @@ def _seesaw_product_max(
     stops once its value gains less than ``SEESAW_STOP``; ``iterations`` sums
     the per-start counts.  Ties between starts resolve to the lowest index.
     """
+    _require_restarts(restarts, initial_points)
     # the draw has real and imaginary planes, each with A's entries then B's
     g = stream(seed, "seesaw-starts").standard_normal((restarts, 2, da + db))
     z, k = g[:, 0] + 1j * g[:, 1], len(initial_points)
     A = np.concatenate([np.asarray([a for a, _ in initial_points], dtype=complex).reshape(k, da), z[:, :da]])
     B = np.concatenate([np.asarray([b for _, b in initial_points], dtype=complex).reshape(k, db), z[:, da:]])
     A, B = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in (A, B))
-    if (da, db) == (2, 2):
+    if bloch := (da, db) == (2, 2):
         t = (matrix.reshape(-1) @ _PAULI_PAIRS).real.reshape(4, 4) / 4.0
-        ka_t, kb_t, half_step, ket = t.T, t, _bloch_half_step, _bloch_ket
+        ka_t, kb_t = t.T, t
         A, B = (np.einsum("ri,mij,rj->rm", X.conj(), _PAULIS, X).real for X in (A, B))
     else:
         m4 = matrix.reshape(da, db, da, db)
@@ -261,14 +296,13 @@ def _seesaw_product_max(
         # <b|M|b> = KA @ vec(conj(b) (x) b) and <a|M|a> = KB @ vec(conj(a) (x) a)
         ka_t = m4.transpose(0, 2, 1, 3).reshape(da * da, db * db).T
         kb_t = m4.transpose(1, 3, 0, 2).reshape(db * db, da * da).T
-        half_step, ket = _eig_half_step, np.asarray
     n = len(A)
     values, iters, converged = np.empty(n), np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
     # the active starts' rows, in index order, and their last values
     active, a, b, last = np.arange(n), A, B, np.full(n, -np.inf)
     for it in range(1, max_iters + 1):
-        a, _ = half_step(b, ka_t, a)
-        b, new = half_step(a, kb_t, b)
+        a = _bloch_half_step(b, ka_t, a)[0] if bloch else _eig_half_step(b, ka_t)[0]
+        b, new = _bloch_half_step(a, kb_t, b) if bloch else _eig_half_step(a, kb_t)
         done = new - last < SEESAW_STOP
         if done.any():
             stop = active[done]
@@ -285,7 +319,7 @@ def _seesaw_product_max(
     for r in range(1, n):
         if values[r] > values[best] + 1e-15:
             best = r
-    a, b = _fix_phase(ket(A[best])), _fix_phase(ket(B[best]))
+    a, b = (_fix_phase(_bloch_ket(x) if bloch else x) for x in (A[best], B[best]))
     v = np.multiply.outer(a, b).ravel()
     return SeesawResult(
         value=float(np.real(np.vdot(v, matrix @ v))),
@@ -331,7 +365,6 @@ def hsep_seesaw(
     reported value is re-evaluated from the returned vectors.  Requires
     ``0 <= M <= 1``.
     """
-    _require_restarts(restarts, initial_points)
     matrix, da, db = _regroup(m, cut)
     _require_contraction(matrix)
     return _seesaw_product_max(matrix, da, db, restarts, SEESAW_MAX_ITERS, seed, initial_points)
@@ -603,7 +636,6 @@ def max_fidelity_to_sep(
     mixture is separable by construction and re-evaluates to the reported
     value.
     """
-    _require_restarts(restarts)
     matrix, da, db = _regroup(rho.op, cut)
 
     def lmo(grad, it):
@@ -686,30 +718,42 @@ def hs_distance_to_sep(
 
     Maintains a separable iterate as an explicit mixture, starting at
     ``I/dim``; each round adds the product state maximizing the correlation
-    with the residual (seesaw oracle) and re-solves the mixture weights on
-    the accumulated atoms exactly (``_min_norm_weights``, started from the
-    previous round's weights), so the distance estimate is monotone
-    non-increasing.  ``converged`` says whether the oracle's gain fell to
-    1e-13 before ``iters`` rounds ran out.
+    with the residual and re-solves the mixture weights on the accumulated
+    atoms exactly (``_min_norm_weights``, started from the previous round's
+    weights), so the distance estimate is monotone non-increasing.  The
+    oracle is the seesaw (seed ``seed + it`` in round ``it``), except on a
+    2x2 cut: there ``_bloch_product_max`` draws no start and, unlike the
+    seesaw, does not stop short on the nearly flat, many-peaked residuals
+    near the optimum.  ``converged`` says whether, before ``iters`` rounds
+    ran out, the oracle's gain fell to 1e-13 or its last atom lowered the
+    distance by nothing (the rounding floor).
     """
-    _require_restarts(restarts)
+    _require_restarts(restarts)  # a qubit pair's oracle runs no seesaw to check it
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
     atoms = _identity_atoms(da, db)
     target = matrix.reshape(-1)
     basis = np.stack([_atom_matrix(a, b).reshape(-1) for a, b in atoms])
     weights = np.full(len(atoms), 1.0 / len(atoms))
-    it = 0
+    it, dist = 0, np.inf
     converged = False
     for it in range(1, iters + 1):
         current = weights @ basis
         resid = target - current
-        step = _seesaw_product_max(resid.reshape(dim, dim), da, db, restarts, SEESAW_MAX_ITERS, seed + it)
-        atom = _atom_matrix(step.a_vec, step.b_vec).reshape(-1)
+        last, dist = dist, float(np.linalg.norm(resid))
+        if dist >= last:  # the last atom lowered the distance by nothing: the rounding floor
+            converged = True
+            break
+        if (da, db) == (2, 2):
+            a, b = _bloch_product_max(resid)
+        else:
+            step = _seesaw_product_max(resid.reshape(dim, dim), da, db, restarts, SEESAW_MAX_ITERS, seed + it)
+            a, b = step.a_vec, step.b_vec
+        atom = _atom_matrix(a, b).reshape(-1)
         if float(np.real(np.vdot(resid, atom)) - np.real(np.vdot(resid, current))) <= 1e-13:
             converged = True
             break
-        atoms.append((step.a_vec, step.b_vec))
+        atoms.append((a, b))
         basis = np.vstack([basis, atom])
         weights = _min_norm_weights(basis - target, np.append(weights, 0.0))
     keep = weights > 1e-15
@@ -777,7 +821,6 @@ def measured_fidelity_to_sep_upper(
     from above through the Frank-Wolfe linearization gap, with the linear
     oracle bounded by a q-extension relaxation.
     """
-    _require_restarts(restarts)
     matrix, da, db = _regroup(rho.op, cut)
     povm = product_povm(povm_a, povm_b)
     if povm.side != da * db:
