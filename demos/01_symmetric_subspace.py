@@ -1,59 +1,49 @@
-"""Symmetric subspaces, Haar moments and twirls.
+"""The symmetric subspace.
 
-Builds the symmetric projector two independent ways, checks its rank
-combinatorics, turns it into the exact Haar moment operator, and shows that
-permutation twirls project onto the commutant of the permutation action.
+Builds the symmetric projector from occupation classes, checks its trace
+against the rank formula, compares it with (I + SWAP)/2 on two qubits, and
+shows that it fixes product powers and that symmetric vectors are invariant
+under every permutation of the tensor factors.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from definetti.operators import (
-    PermutationSpec,
-    haar_moment_operator,
     haar_state_vector,
-    hermitian,
-    permutation_twirl,
-    permutation_unitary,
-    random_hermitian,
-    stream,
+    permute_factors,
+    pure_state_density,
     sym_projector,
-    sym_rank,
+    symmetric_state_vector,
 )
 
-print("Symmetric projector, two constructions")
-print("--------------------------------------")
+print("Symmetric projector and its rank")
+print("--------------------------------")
 for (n, d) in [(2, 2), (3, 2), (2, 3), (4, 2)]:
-    occ = sym_projector(n, d, "occupation")
-    avg = sym_projector(n, d, "average")
-    diff = np.linalg.norm(occ.matrix - avg.matrix)
-    print(f"  n={n} d={d}: |occupation - average|_F = {diff:.2e}, "
-          f"trace = {occ.trace():.12f}, rank formula = {sym_rank(n, d)}")
+    p = sym_projector(n, d).matrix
+    print(f"  n={n} d={d}: trace = {np.trace(p).real:.12f}, "
+          f"binom(n+d-1, n) = {math.comb(n + d - 1, n)}, "
+          f"|P^2 - P|_F = {np.linalg.norm(p @ p - p):.2e}")
 
 print()
-print("Haar moment operator")
-print("--------------------")
-m = haar_moment_operator(2, 2)
-print(f"  second qubit moment has trace {m.trace():.12f}")
-print("  equals (identity + swap)/6:")
-swap = permutation_unitary(PermutationSpec((1, 0)), 2)
-print(f"  difference {np.linalg.norm(m.matrix - (np.eye(4) + swap) / 6):.2e}")
+print("Two qubits")
+print("----------")
+swap = np.eye(4).reshape(2, 2, 2, 2).transpose(1, 0, 2, 3).reshape(4, 4)
+print(f"  |P_sym - (I + SWAP)/2|_F = {np.linalg.norm(sym_projector(2, 2).matrix - (np.eye(4) + swap) / 2):.2e}")
 
 psi = haar_state_vector(2, seed=1)
-v = np.kron(psi, psi)
+v = np.kron(np.kron(psi, psi), psi)
 print(f"  projector fixes product powers: |P v - v| = "
-      f"{np.linalg.norm(sym_projector(2, 2).matrix @ v - v):.2e}")
+      f"{np.linalg.norm(sym_projector(3, 2).matrix @ v - v):.2e}")
 
 print()
-print("Permutation twirl lands in the commutant")
-print("----------------------------------------")
-x = hermitian(random_hermitian(8, stream(0, 'demo1')), (2, 2, 2))
-tw = permutation_twirl(x, 3)
-worst = 0.0
-for perm in itertools.permutations(range(3)):
-    u = permutation_unitary(PermutationSpec(perm), 2)
-    worst = max(worst, np.linalg.norm(u @ tw.matrix - tw.matrix @ u))
-print(f"  worst commutator norm over all six permutations: {worst:.2e}")
-print(f"  twirl is idempotent: "
-      f"{np.linalg.norm(permutation_twirl(tw, 3).matrix - tw.matrix):.2e}")
+print("Symmetric vectors are invariant under factor permutations")
+print("---------------------------------------------------------")
+theta = pure_state_density(symmetric_state_vector(3, 2, 0, "demo1"), (2, 2, 2))
+worst = max(
+    np.linalg.norm(permute_factors(theta.op, perm).matrix - theta.matrix)
+    for perm in itertools.permutations(range(3))
+)
+print(f"  worst change of |theta><theta| over all six permutations: {worst:.2e}")

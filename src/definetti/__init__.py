@@ -5,13 +5,10 @@ from .operators import (
     Dims,
     HermitianOperator,
     KrausChannel,
-    PermutationSpec,
     ResourceCapError,
     apply_channel,
-    b_side_twirl,
     completely_depolarizing_channel,
     density,
-    haar_moment_operator,
     haar_state_vector,
     hermitian,
     identity_channel,
@@ -21,15 +18,12 @@ from .operators import (
     min_eigenvalue,
     partial_trace,
     pauli_twirl_channel,
-    permutation_twirl,
-    permutation_unitary,
     permute_factors,
     pure_state_density,
     qc_dephasing_channel,
     set_max_side,
     stream,
     sym_projector,
-    sym_rank,
     symmetric_state_vector,
     tensor,
     tensor_power,

@@ -64,20 +64,14 @@ def fidelity(rho, sigma) -> float:
     s = _matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    return _fidelity_from_root(_sqrtm_psd(r), s)
-
-
-def _fidelity_from_root(root: np.ndarray, sigma: np.ndarray) -> float:
-    """``fidelity(rho, sigma)`` given ``root = _sqrtm_psd(rho)``, for callers
-    that hold ``rho`` fixed over many ``sigma``."""
-    inner = root @ sigma @ root
-    w, _ = _clipped_eigh((inner + inner.conj().T) / 2.0)
-    return float(np.sqrt(w).sum())
+    root = _sqrtm_psd(r)
+    inner = root @ s @ root
+    return float(_root_fidelities(((inner + inner.conj().T) / 2.0)[None])[0])
 
 
 def _root_fidelities(inner: np.ndarray) -> np.ndarray:
-    """``_fidelity_from_root`` over a stack of Hermitian ``sqrt(rho) sigma
-    sqrt(rho)``: one stacked ``eigvalsh``, with the same PSD raise."""
+    """Fidelities of a stack of Hermitian ``sqrt(rho) sigma sqrt(rho)``, by one
+    stacked ``eigvalsh``; an eigenvalue below ``-EIG_CLIP_TOL`` raises."""
     w = np.linalg.eigvalsh(inner)
     if w[:, 0].min() < -EIG_CLIP_TOL:
         raise ValueError(f"operator is not PSD: minimum eigenvalue {w[:, 0].min():.3e}")

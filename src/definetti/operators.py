@@ -2,9 +2,9 @@
 
 Everything in this package works on explicit dense matrices tagged with a
 list of local dimensions.  The helpers here cover tensor products, partial
-traces, permutation actions on tensor factors, symmetric-subspace
-projectors, twirls, Kraus channels, spectral routines and seeded random
-state generation.  All functions are pure; values are immutable after
+traces, reordering of tensor factors, the symmetric-subspace projector and
+its occupation-class table, Kraus channels, spectral routines and seeded
+random state generation.  All functions are pure; values are immutable after
 construction and safe to share across threads.
 """
 
@@ -22,7 +22,6 @@ __all__ = [
     "HermitianOperator",
     "DensityMatrix",
     "KrausChannel",
-    "PermutationSpec",
     "ResourceCapError",
     "set_max_side",
     "max_side",
@@ -38,11 +37,7 @@ __all__ = [
     "partial_trace",
     "partial_trace_vector",
     "permute_factors",
-    "permutation_unitary",
     "sym_projector",
-    "haar_moment_operator",
-    "permutation_twirl",
-    "b_side_twirl",
     "apply_channel",
     "channel_on_factors",
     "identity_channel",
@@ -54,7 +49,6 @@ __all__ = [
     "symmetric_state_vector",
     "random_hermitian",
     "random_contraction",
-    "sym_rank",
     "min_eigenvalue",
 ]
 
@@ -269,46 +263,6 @@ class KrausChannel:
         object.__setattr__(self, "out_dims", out_dims)
 
 
-@dataclass(frozen=True)
-class PermutationSpec:
-    """Bijection on factor positions, 0-based.
-
-    The associated unitary maps the basis string ``j`` to the string whose
-    k-th letter is ``j[mapping[k]]``.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        mapping = tuple(int(i) for i in self.mapping)
-        if sorted(mapping) != list(range(len(mapping))):
-            raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
-        object.__setattr__(self, "mapping", mapping)
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def compose(self, other: "PermutationSpec") -> "PermutationSpec":
-        """Permutation whose unitary is ``U(self) @ U(other)``."""
-        if len(other) != len(self):
-            raise ValueError("length mismatch")
-        return PermutationSpec(tuple(other.mapping[i] for i in self.mapping))
-
-    def inverse(self) -> "PermutationSpec":
-        inv = [0] * len(self.mapping)
-        for k, v in enumerate(self.mapping):
-            inv[v] = k
-        return PermutationSpec(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> "PermutationSpec":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "PermutationSpec":
-        return cls(tuple(int(i) for i in rng.permutation(n)))
-
-
 # ---------------------------------------------------------------------------
 # tensor algebra
 
@@ -389,7 +343,7 @@ def permute_factors(a: HermitianOperator, order) -> HermitianOperator:
 
 
 # ---------------------------------------------------------------------------
-# permutation actions and the symmetric subspace
+# the symmetric subspace
 
 
 def _digit_table(n: int, d: int) -> np.ndarray:
@@ -399,23 +353,6 @@ def _digit_table(n: int, d: int) -> np.ndarray:
     for pos in range(n):
         digits[:, pos] = (idx // d ** (n - 1 - pos)) % d
     return digits
-
-
-def permutation_unitary(perm: PermutationSpec, local_dim: int) -> np.ndarray:
-    """Unitary permuting tensor factors of ``(C^local_dim)^{x n}``.
-
-    Maps the basis string ``j`` to the string with k-th letter
-    ``j[perm.mapping[k]]``.
-    """
-    n = len(perm)
-    side = local_dim**n
-    check_side(side, "permutation unitary")
-    digits = _digit_table(n, local_dim)
-    strides = local_dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    rows = digits[:, list(perm.mapping)] @ strides
-    u = np.zeros((side, side), dtype=complex)
-    u[rows, np.arange(side)] = 1.0
-    return u
 
 
 @functools.lru_cache(maxsize=8)
@@ -433,96 +370,19 @@ def _occupation_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return label, counts, sizes
 
 
-def _average_permutations(arr: np.ndarray, q: int, offsets) -> np.ndarray:
-    """Exact average of complex ``arr`` over all permutations of ``q``
-    consecutive axes, each applied at once to every run of ``q`` axes that
-    starts at an index in ``offsets``.
+def sym_projector(n: int, d: int) -> HermitianOperator:
+    """Orthogonal projector ``P_sym`` onto the n-copy symmetric subspace of
+    ``C^d``, of rank ``binom(n + d - 1, n)``.
 
-    ``S_m`` is the disjoint union of the cosets ``(k m-1) S_{m-1}``,
-    ``k = 0..m-1``, so the sum over ``S_m`` is the sum of ``m`` transposed
-    copies of the sum over ``S_{m-1}``: ``q(q-1)/2`` transposes in all, then
-    one division by ``q!``.
-    """
-    for m in range(2, q + 1):
-        acc = arr.copy()
-        for k in range(m - 1):
-            swapped = arr
-            for o in offsets:
-                swapped = swapped.swapaxes(o + k, o + m - 1)
-            acc += swapped
-        arr = acc
-    if q > 1:  # divide the float64 view: numpy's complex division is not correctly rounded
-        arr.view(np.float64)[...] /= math.factorial(q)
-    return arr
-
-
-def sym_projector(n: int, d: int, method: str = "occupation") -> HermitianOperator:
-    """Orthogonal projector onto the n-copy symmetric subspace of ``C^d``.
-
-    Two independent constructions are provided: ``occupation`` sums the
-    normalized projectors of symmetrized occupation-number basis vectors;
-    ``average`` averages all factor-permutation unitaries exactly, applied
-    to the identity.  The projector has rank ``binom(n + d - 1, n)``.
+    On each occupation class it is the block with every entry ``1/size``,
+    the projector onto the class's normalized symmetrized basis vector; every
+    entry is exact.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    side = d**n
-    check_side(side, "symmetric projector")
-    if method == "occupation":
-        label, _, sizes = _occupation_table(n, d)
-        return HermitianOperator(np.divide(label[:, None] == label, sizes[label], dtype=complex), Dims((d,) * n))
-    if method != "average":
-        raise ValueError(f"unknown method {method!r}")
-    p = _average_permutations(np.eye(side, dtype=complex).reshape((d,) * n + (side,)), n, (0,))
-    return HermitianOperator(p.reshape(side, side), Dims((d,) * n))
-
-
-def sym_rank(n: int, d: int) -> int:
-    return math.comb(n + d - 1, n)
-
-
-def haar_moment_operator(m: int, d: int) -> HermitianOperator:
-    """Exact m-th moment of Haar-random pure states on ``C^d``.
-
-    Equals the symmetric projector divided by ``binom(m + d - 1, m)``; it is
-    PSD with unit trace.
-    """
-    p = sym_projector(m, d)
-    return HermitianOperator(p.matrix / sym_rank(m, d), p.dims)
-
-
-def permutation_twirl(x: HermitianOperator, n: int) -> HermitianOperator:
-    """Average ``U_pi x U_pi^dag`` over all permutations of ``n`` equal groups.
-
-    The factor list must split into ``n`` contiguous groups with identical
-    dimension patterns.  The output commutes with every group permutation
-    and is a fixed point of the twirl itself.
-    """
-    m = len(x.dims)
-    if n < 1 or m % n != 0:
-        raise ValueError(f"{m} factors do not split into {n} equal groups")
-    g = m // n
-    groups = [x.dims.factors[i * g : (i + 1) * g] for i in range(n)]
-    if any(grp != groups[0] for grp in groups):
-        raise ValueError(f"groups have different dimension patterns: {groups}")
-    group_dim = math.prod(groups[0])
-    out = _average_permutations(x.matrix.reshape((group_dim,) * (2 * n)), n, (0, n))
-    return HermitianOperator(out.reshape(x.side, x.side), x.dims)
-
-
-def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
-    """Average over permutations of the trailing ``q`` equal factors only."""
-    nf = len(m.dims)
-    if q < 1 or q > nf:
-        raise ValueError(f"cannot twirl {q} trailing factors of {nf}")
-    b_dims = m.dims.factors[-q:]
-    if any(b != b_dims[0] for b in b_dims):
-        raise ValueError(f"trailing factors are not all equal: {b_dims}")
-    if q == 1:
-        return m
-    shape = (math.prod(m.dims.factors[:-q]),) + b_dims
-    arr = _average_permutations(m.matrix.reshape(shape + shape), q, (1, q + 2))
-    return HermitianOperator(arr.reshape(m.side, m.side), m.dims)
+    check_side(d**n, "symmetric projector")
+    label, _, sizes = _occupation_table(n, d)
+    return HermitianOperator(np.divide(label[:, None] == label, sizes[label], dtype=complex), Dims((d,) * n))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 
 from .measures import (
     Povm,
-    _fidelity_from_root,
     _root_fidelities,
     _sqrtm_psd,
     classical_fidelity,
@@ -589,7 +588,8 @@ def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
     labels = [label for label, _ in atoms]
     weights = [1.0 / len(atoms)] * len(atoms)
     sigma = sum(atom for _, atom in atoms) / len(atoms)
-    value = _fidelity_from_root(rho_sqrt, sigma)
+    x0 = rho_sqrt @ sigma @ rho_sqrt
+    value = float(_root_fidelities(((x0 + x0.conj().T) / 2.0)[None])[0])
     it = 0
     converged = False
     for it in range(1, iters + 1):

@@ -1,0 +1,226 @@
+"""Independent references that the tests compare the package against.
+
+The package builds ``P_sym`` and ``Sym^n`` from the occupation-class table
+and evaluates fidelities in stacked ``eigvalsh`` calls.  The constructions
+here take the other road: dense permutation unitaries, exact averages over
+the symmetric group, and one ``eigh`` per fidelity.  The package never
+imports this module.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from definetti.measures import _sqrtm_psd
+from definetti.operators import (
+    Dims,
+    HermitianOperator,
+    channel_on_factors,
+    haar_state_vector,
+    induced_mixed_state,
+    partial_trace_vector,
+    sym_projector,
+    symmetric_state_vector,
+    tensor_power,
+)
+
+# ---------------------------------------------------------------------------
+# permutations of tensor factors
+
+
+@dataclass(frozen=True)
+class PermutationSpec:
+    """Bijection on factor positions, 0-based.
+
+    The associated unitary maps the basis string ``j`` to the string whose
+    k-th letter is ``j[mapping[k]]``.
+    """
+
+    mapping: tuple[int, ...]
+
+    def __post_init__(self):
+        mapping = tuple(int(i) for i in self.mapping)
+        if sorted(mapping) != list(range(len(mapping))):
+            raise ValueError(f"not a bijection on 0..{len(mapping) - 1}: {mapping}")
+        object.__setattr__(self, "mapping", mapping)
+
+    def __len__(self) -> int:
+        return len(self.mapping)
+
+    def compose(self, other: "PermutationSpec") -> "PermutationSpec":
+        """Permutation whose unitary is ``U(self) @ U(other)``."""
+        if len(other) != len(self):
+            raise ValueError("length mismatch")
+        return PermutationSpec(tuple(other.mapping[i] for i in self.mapping))
+
+    def inverse(self) -> "PermutationSpec":
+        inv = [0] * len(self.mapping)
+        for k, v in enumerate(self.mapping):
+            inv[v] = k
+        return PermutationSpec(tuple(inv))
+
+    @classmethod
+    def identity(cls, n: int) -> "PermutationSpec":
+        return cls(tuple(range(n)))
+
+    @classmethod
+    def random(cls, n: int, rng: np.random.Generator) -> "PermutationSpec":
+        return cls(tuple(int(i) for i in rng.permutation(n)))
+
+
+def permutation_unitary(perm: PermutationSpec, local_dim: int) -> np.ndarray:
+    """Unitary permuting tensor factors of ``(C^local_dim)^{x n}``.
+
+    Maps the basis string ``j`` to the string with k-th letter
+    ``j[perm.mapping[k]]``.
+    """
+    n = len(perm)
+    side = local_dim**n
+    digits = np.indices((local_dim,) * n).reshape(n, side).T  # big-endian strings
+    strides = local_dim ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    rows = digits[:, list(perm.mapping)] @ strides
+    u = np.zeros((side, side), dtype=complex)
+    u[rows, np.arange(side)] = 1.0
+    return u
+
+
+def average_permutations(arr: np.ndarray, q: int, offsets) -> np.ndarray:
+    """Exact average of complex ``arr`` over all permutations of ``q``
+    consecutive axes, each applied at once to every run of ``q`` axes that
+    starts at an index in ``offsets``.
+
+    ``S_m`` is the disjoint union of the cosets ``(k m-1) S_{m-1}``,
+    ``k = 0..m-1``, so the sum over ``S_m`` is the sum of ``m`` transposed
+    copies of the sum over ``S_{m-1}``: ``q(q-1)/2`` transposes in all, then
+    one division by ``q!``.
+    """
+    for m in range(2, q + 1):
+        acc = arr.copy()
+        for k in range(m - 1):
+            swapped = arr
+            for o in offsets:
+                swapped = swapped.swapaxes(o + k, o + m - 1)
+            acc += swapped
+        arr = acc
+    if q > 1:  # divide the float64 view: numpy's complex division is not correctly rounded
+        arr.view(np.float64)[...] /= math.factorial(q)
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# the symmetric subspace and group averages
+
+
+def sym_rank(n: int, d: int) -> int:
+    return math.comb(n + d - 1, n)
+
+
+def sym_projector_average(n: int, d: int) -> HermitianOperator:
+    """``P_sym`` on ``(C^d)^{x n}`` as the exact average of all factor
+    permutations, applied to the identity."""
+    side = d**n
+    p = average_permutations(np.eye(side, dtype=complex).reshape((d,) * n + (side,)), n, (0,))
+    return HermitianOperator(p.reshape(side, side), Dims((d,) * n))
+
+
+def haar_moment_operator(m: int, d: int) -> HermitianOperator:
+    """Exact m-th moment of Haar-random pure states on ``C^d``: the
+    symmetric projector divided by ``binom(m + d - 1, m)``."""
+    p = sym_projector(m, d)
+    return HermitianOperator(p.matrix / sym_rank(m, d), p.dims)
+
+
+def permutation_twirl(x: HermitianOperator, n: int) -> HermitianOperator:
+    """Average ``U_pi x U_pi^dag`` over all permutations of ``n`` equal groups.
+
+    The factor list must split into ``n`` contiguous groups with identical
+    dimension patterns.
+    """
+    m = len(x.dims)
+    if n < 1 or m % n != 0:
+        raise ValueError(f"{m} factors do not split into {n} equal groups")
+    g = m // n
+    groups = [x.dims.factors[i * g : (i + 1) * g] for i in range(n)]
+    if any(grp != groups[0] for grp in groups):
+        raise ValueError(f"groups have different dimension patterns: {groups}")
+    group_dim = math.prod(groups[0])
+    out = average_permutations(x.matrix.reshape((group_dim,) * (2 * n)), n, (0, n))
+    return HermitianOperator(out.reshape(x.side, x.side), x.dims)
+
+
+def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
+    """Average over permutations of the trailing ``q`` equal factors only."""
+    nf = len(m.dims)
+    if q < 1 or q > nf:
+        raise ValueError(f"cannot twirl {q} trailing factors of {nf}")
+    b_dims = m.dims.factors[-q:]
+    if any(b != b_dims[0] for b in b_dims):
+        raise ValueError(f"trailing factors are not all equal: {b_dims}")
+    if q == 1:
+        return m
+    shape = (math.prod(m.dims.factors[:-q]),) + b_dims
+    arr = average_permutations(m.matrix.reshape(shape + shape), q, (1, q + 2))
+    return HermitianOperator(arr.reshape(m.side, m.side), m.dims)
+
+
+# ---------------------------------------------------------------------------
+# fidelities one at a time
+
+
+def fidelity_from_root(root: np.ndarray, sigma: np.ndarray) -> float:
+    """``F(rho, sigma)`` given ``root = sqrt(rho)``, by one ``eigh``."""
+    inner = root @ sigma @ root
+    w = np.linalg.eigh((inner + inner.conj().T) / 2.0)[0]
+    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+
+
+def loop_mixed_margins(n: int, d: int, seed: int, samples: int) -> np.ndarray:
+    """Per-sample margins ``F(rho, sigma^{x n}) - |<theta|psi^{x n}>|`` of
+    the mixed reduction, drawn from the same streams as the package."""
+    theta = symmetric_state_vector(n, d * d, seed, "mixed-reduction")
+    rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
+    rho_root = _sqrtm_psd(rho.matrix)
+    margins = np.empty(samples)
+    for j in range(samples):
+        psi = haar_state_vector(d * d, seed, "mixed-fid", j)
+        v = psi
+        for _ in range(n - 1):
+            v = np.kron(v, psi)
+        overlap = abs(np.vdot(theta, v))
+        sigma = partial_trace_vector(psi, Dims((d, d)), [0])
+        margins[j] = fidelity_from_root(rho_root, tensor_power(sigma, n).matrix) - overlap
+    return margins
+
+
+def loop_integrand_margins(rho, ch, tau0, samples: int, delta: float, seed: int) -> tuple[np.ndarray, float]:
+    """Per-sample integrand-domination margins and the mass within
+    ``delta`` of ``F = 1``."""
+    n, d = len(rho.dims), ch.in_dims.size
+    rho_root = _sqrtm_psd(rho.matrix)
+    tau0_root = _sqrtm_psd(tau0.matrix)
+    margins = np.empty(samples)
+    near = 0
+    for j in range(samples):
+        sigma = induced_mixed_state((d,), seed, "domination", j)
+        lhs = fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix) ** 2
+        f_single = fidelity_from_root(tau0_root, channel_on_factors(ch, sigma.op, [0]).matrix)
+        margins[j] = f_single ** (2 * n) - lhs
+        if f_single >= 1.0 - delta:
+            near += 1
+    return margins, near / samples
+
+
+def loop_fixed_point_margins(rho, ch, samples: int, seed: int) -> np.ndarray:
+    """Per-sample fixed-point margins ``F(rho, (N sigma)^{x n}) - F(rho, sigma^{x n})``."""
+    n, d = len(rho.dims), ch.in_dims.size
+    rho_root = _sqrtm_psd(rho.matrix)
+    margins = np.empty(samples)
+    for j in range(samples):
+        sigma = induced_mixed_state((d,), seed, "fixed-point", j)
+        mapped_sigma = channel_on_factors(ch, sigma.op, [0])
+        after = fidelity_from_root(rho_root, tensor_power(mapped_sigma, n).matrix)
+        margins[j] = after - fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix)
+    return margins

@@ -18,7 +18,6 @@ from definetti.operators import (
     random_contraction,
     stream,
     sym_projector,
-    sym_rank,
     symmetric_state_vector,
     tensor_power,
 )
@@ -49,6 +48,7 @@ from definetti.repetition import (
     threshold_operator,
 )
 from definetti.separability import BipartiteCut, hqext, hsep_seesaw
+from reference import sym_projector_average, sym_rank
 
 CUT = BipartiteCut((0,), (1,))
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -71,8 +71,8 @@ def test_criterion_01_pinching():
 def test_criterion_02_symmetric_projector_identity():
     ok = True
     for (n, d) in [(2, 2), (3, 2), (2, 3), (4, 2)]:
-        occ = sym_projector(n, d, "occupation")
-        avg = sym_projector(n, d, "average")
+        occ = sym_projector(n, d)
+        avg = sym_projector_average(n, d)
         ok &= np.linalg.norm(occ.matrix - avg.matrix) <= 1e-10
         tr = occ.trace()
         ok &= round(tr) == sym_rank(n, d) and abs(tr - sym_rank(n, d)) < 1e-9

@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from definetti.measures import (
     Povm,
-    _fidelity_from_root,
     _root_fidelities,
     _sqrtm_psd,
     classical_fidelity,
@@ -33,6 +32,7 @@ from definetti.operators import (
     qc_dephasing_channel,
     tensor,
 )
+from reference import fidelity_from_root
 
 Z0 = pure_state_density([1, 0], (2,))
 Z1 = pure_state_density([0, 1], (2,))
@@ -176,7 +176,7 @@ def test_root_fidelities_match_one_at_a_time_and_reject_a_non_psd_last_row():
     inner = (inner + inner.conj().transpose(0, 2, 1)) / 2.0
     values = _root_fidelities(inner)
     for value, s in zip(values, sigmas):
-        assert abs(value - _fidelity_from_root(root, s)) <= 1e-12
+        assert abs(value - fidelity_from_root(root, s)) <= 1e-12
     inner[-1] -= 0.1 * np.eye(3) + inner[-1]
     with pytest.raises(ValueError, match="not PSD"):
         _root_fidelities(inner)

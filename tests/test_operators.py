@@ -15,15 +15,12 @@ from definetti.operators import (
     DensityMatrix,
     Dims,
     HermitianOperator,
-    PermutationSpec,
     ResourceCapError,
     _occupation_table,
     apply_channel,
-    b_side_twirl,
     channel_on_factors,
     completely_depolarizing_channel,
     density,
-    haar_moment_operator,
     haar_state_vector,
     hermitian,
     identity_channel,
@@ -33,8 +30,6 @@ from definetti.operators import (
     partial_trace,
     partial_trace_vector,
     pauli_twirl_channel,
-    permutation_twirl,
-    permutation_unitary,
     permute_factors,
     pure_state_density,
     qc_dephasing_channel,
@@ -42,12 +37,20 @@ from definetti.operators import (
     set_max_side,
     stream,
     sym_projector,
-    sym_rank,
     symmetric_state_vector,
     tensor,
     tensor_power,
 )
 from definetti.reductions import constrained_moment
+from reference import (
+    PermutationSpec,
+    b_side_twirl,
+    haar_moment_operator,
+    permutation_twirl,
+    permutation_unitary,
+    sym_projector_average,
+    sym_rank,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SWAP = np.array(
@@ -128,8 +131,8 @@ def test_sym_projector_small_cases():
     [(n, d) for d in (2, 3, 4, 5) for n in range(1, 8) if d**n <= 1024] + [(8, 2), (9, 2), (10, 2)],
 )
 def test_sym_projector_constructions_agree(n, d):
-    occ = sym_projector(n, d, "occupation")
-    avg = sym_projector(n, d, "average")
+    occ = sym_projector(n, d)
+    avg = sym_projector_average(n, d)
     assert np.linalg.norm(occ.matrix - avg.matrix) <= 1e-13
     assert abs(occ.trace() - sym_rank(n, d)) < 1e-9
 
@@ -282,7 +285,7 @@ def test_group_averages_match_explicit_permutation_sum(a_dim, dim, q, seed):
     proj = np.zeros((side, side))
     for perm in itertools.permutations(range(q)):
         proj[_moved_strings(perm, dim, q), np.arange(side)] += 1
-    avg = sym_projector(q, dim, "average").matrix
+    avg = sym_projector_average(q, dim).matrix
     assert np.abs(avg - proj / math.factorial(q)).max() <= 1e-12
 
 

@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from definetti import reductions
-from definetti.measures import _fidelity_from_root, _sqrtm_psd
+from definetti.measures import _sqrtm_psd
 from definetti.operators import (
     Dims,
     HermitianOperator,
     ResourceCapError,
     _haar_stack,
-    channel_on_factors,
     density,
-    haar_moment_operator,
     haar_state_vector,
     identity_channel,
     induced_mixed_state,
     partial_trace_vector,
     pauli_twirl_channel,
-    permutation_twirl,
     pure_state_density,
     qc_dephasing_channel,
     completely_depolarizing_channel,
@@ -31,7 +28,6 @@ from definetti.operators import (
     stream,
     sym_projector,
     symmetric_state_vector,
-    tensor_power,
 )
 from definetti.reductions import (
     _product_fidelities,
@@ -47,6 +43,13 @@ from definetti.reductions import (
     constrained_moment,
     monte_carlo_constrained_moment,
     truncated_symmetric_state_vector,
+)
+from reference import (
+    haar_moment_operator,
+    loop_fixed_point_margins,
+    loop_integrand_margins,
+    loop_mixed_margins,
+    permutation_twirl,
 )
 
 
@@ -340,53 +343,6 @@ def test_fixed_point_rejects_no_samples():
         check_fixed_point_reduction(rho, identity_channel((2,)), samples=0)
 
 
-# the per-sample loops the stacked kernel replaced, one eigh per fidelity
-
-
-def _loop_mixed_margins(n, d, seed, samples):
-    theta = symmetric_state_vector(n, d * d, seed, "mixed-reduction")
-    rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
-    rho_root = _sqrtm_psd(rho.matrix)
-    margins = np.empty(samples)
-    for j in range(samples):
-        psi = haar_state_vector(d * d, seed, "mixed-fid", j)
-        v = psi
-        for _ in range(n - 1):
-            v = np.kron(v, psi)
-        overlap = abs(np.vdot(theta, v))
-        sigma = partial_trace_vector(psi, Dims((d, d)), [0])
-        margins[j] = _fidelity_from_root(rho_root, tensor_power(sigma, n).matrix) - overlap
-    return margins
-
-
-def _loop_integrand_margins(rho, ch, tau0, samples, delta, seed):
-    n, d = len(rho.dims), ch.in_dims.size
-    rho_root = _sqrtm_psd(rho.matrix)
-    tau0_root = _sqrtm_psd(tau0.matrix)
-    margins = np.empty(samples)
-    near = 0
-    for j in range(samples):
-        sigma = induced_mixed_state((d,), seed, "domination", j)
-        lhs = _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix) ** 2
-        f_single = _fidelity_from_root(tau0_root, channel_on_factors(ch, sigma.op, [0]).matrix)
-        margins[j] = f_single ** (2 * n) - lhs
-        if f_single >= 1.0 - delta:
-            near += 1
-    return margins, near / samples
-
-
-def _loop_fixed_point_margins(rho, ch, samples, seed):
-    n, d = len(rho.dims), ch.in_dims.size
-    rho_root = _sqrtm_psd(rho.matrix)
-    margins = np.empty(samples)
-    for j in range(samples):
-        sigma = induced_mixed_state((d,), seed, "fixed-point", j)
-        mapped_sigma = channel_on_factors(ch, sigma.op, [0])
-        after = _fidelity_from_root(rho_root, tensor_power(mapped_sigma, n).matrix)
-        margins[j] = after - _fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix)
-    return margins
-
-
 def _assert_margins_match(new, ref):
     # margins are differences of fidelities, which lie in [0, 1]
     assert np.abs(new - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
@@ -399,7 +355,7 @@ def test_mixed_reduction_matches_the_per_sample_loop(n, d, seed):
     # the (2, 3) moment has side 9^4 = 6561, over the default cap
     set_max_side((d * d) ** (2 * n))
     res = check_mixed_reduction(n, d, seed=seed, samples=40)
-    ref = _loop_mixed_margins(n, d, seed, 40)
+    ref = loop_mixed_margins(n, d, seed, 40)
     _assert_margins_match(np.array([res.extras["fidelity_domination_min_margin"]]), np.array([ref.min()]))
     assert res.passed == (res.gap_min_eig >= -reductions.GAP_TOL and ref.min() >= -reductions.GAP_TOL)
 
@@ -420,12 +376,12 @@ def _product_image_cases(seed):
 def test_fixed_point_and_integrand_match_the_per_sample_loops(seed):
     for rho, ch, tau0 in _product_image_cases(seed):
         res = check_fixed_point_reduction(rho, ch, samples=60, seed=seed)
-        ref = _loop_fixed_point_margins(rho, ch, 60, seed)
+        ref = loop_fixed_point_margins(rho, ch, 60, seed)
         _assert_margins_match(res.margins, ref)
         assert res.passed == (ref.min() >= -reductions.GAP_TOL)
         for delta in (0.0, 0.05, 0.3):
             res = check_integrand_domination(rho, ch, tau0, samples=60, delta=delta, seed=seed)
-            ref, mass = _loop_integrand_margins(rho, ch, tau0, 60, delta, seed)
+            ref, mass = loop_integrand_margins(rho, ch, tau0, 60, delta, seed)
             _assert_margins_match(res.margins, ref)
             assert res.passed == (ref.min() >= -reductions.GAP_TOL)
             assert res.extras["mass_in_kdelta"] == mass

@@ -16,7 +16,6 @@ from definetti.operators import (
     induced_mixed_state,
     min_eigenvalue,
     partial_trace,
-    permutation_twirl,
     permute_factors,
     pure_state_density,
     random_contraction,
@@ -52,6 +51,7 @@ from definetti.repetition import (
     threshold_operator,
 )
 from definetti.separability import BipartiteCut
+from reference import permutation_twirl
 
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
 SINGLET = hermitian(np.outer(SINGLET_VEC, SINGLET_VEC), (2, 2))

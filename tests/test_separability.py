@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from definetti import suites
-from definetti.measures import Povm, _fidelity_from_root, _root_fidelities, _sqrtm_psd, classical_fidelity, fidelity
+from definetti.measures import Povm, _root_fidelities, _sqrtm_psd, classical_fidelity, fidelity
 from definetti.operators import (
     Dims,
     HermitianOperator,
     ResourceCapError,
-    b_side_twirl,
     density,
     hermitian,
     identity_operator,
@@ -49,6 +48,7 @@ from definetti.separability import (
     product_povm,
     recheck_certificate,
 )
+from reference import b_side_twirl, fidelity_from_root
 
 CUT = BipartiteCut((0,), (1,))
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -634,7 +634,7 @@ def test_line_max_matches_golden_section_on_fidelity_segments(dim, ranks, peak, 
     elif peak == "at 1":
         atom = rho
     root = _sqrtm_psd(rho)
-    _, ref = golden_max(lambda t: _fidelity_from_root(root, (1.0 - t) * sigma + t * atom))
+    _, ref = golden_max(lambda t: fidelity_from_root(root, (1.0 - t) * sigma + t * atom))
     x0, x1 = (root @ x @ root for x in (sigma, atom))
     t, value = _line_max(_root_fidelities, (x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
     assert 0.0 <= t <= 1.0
