@@ -88,6 +88,13 @@ def check_side(side: int, what: str = "operator") -> None:
         )
 
 
+def _require_at_least(low: int, **sizes) -> None:
+    """Raise ``ValueError`` naming the first of ``sizes`` below ``low``."""
+    for name, value in sizes.items():
+        if value < low:
+            raise ValueError(f"need {name} >= {low}, got {value}")
+
+
 def stream(seed: int, *labels) -> np.random.Generator:
     """Counter-based generator on an independent stream named by ``labels``.
 
@@ -378,8 +385,7 @@ def sym_projector(n: int, d: int) -> HermitianOperator:
     the projector onto the class's normalized symmetrized basis vector; every
     entry is exact.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
+    _require_at_least(1, n=n, d=d)
     check_side(d**n, "symmetric projector")
     label, _, sizes = _occupation_table(n, d)
     return HermitianOperator(np.divide(label[:, None] == label, sizes[label], dtype=complex), Dims((d,) * n))
@@ -498,6 +504,7 @@ def symmetric_state_vector(n: int, d: int, seed: int, *labels) -> np.ndarray:
     Retries with an incremented sub-seed if the projection vanishes and
     fails after 16 attempts.
     """
+    _require_at_least(1, n=n, d=d)
     check_side(d**n, "symmetric state vector")
     label, _, sizes = _occupation_table(n, d)
     for attempt in range(16):

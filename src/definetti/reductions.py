@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .operators import (
     _haar_stack,
     _kraus_sum,
     _occupation_table,
+    _require_at_least,
     channel_on_factors,
     check_side,
     min_eigenvalue,
@@ -52,8 +53,8 @@ __all__ = [
     "GAP_TOL",
 ]
 
-# every PSD and per-sample check passes at margin >= -GAP_TOL, except the
-# classical pointwise check, which decides at 1e-12
+# every PSD and per-sample check passes at margin >= -GAP_TOL, in
+# _operator_check or _sampled_check; the classical pointwise check decides at 1e-12
 GAP_TOL = 1e-9
 # the channel preconditions of the integrand and fixed-point checks hold
 # when the Frobenius defect is at most this
@@ -118,23 +119,31 @@ def check_pinching(ops, rho: DensityMatrix) -> ReductionCheck:
     diag = sum(m @ rho.matrix @ m.conj().T for m in mats)
     total = sum(mats)
     cross = total @ rho.matrix @ total.conj().T
-    gap = min_eigenvalue(r * diag - cross)
-    return ReductionCheck(
-        lhs=HermitianOperator(cross, rho.dims),
-        rhs=HermitianOperator(r * diag, rho.dims),
-        gap_min_eig=gap,
-        prefactor=r,
-        passed=gap >= -GAP_TOL,
-        params={"r": r, "side": side},
-        tolerance=GAP_TOL,
+    return _operator_check(
+        HermitianOperator(cross, rho.dims), HermitianOperator(r * diag, rho.dims), r, {"r": r, "side": side}
     )
 
 
-def _require_symmetric_vector(theta: np.ndarray, n: int, d: int) -> None:
+def _operator_check(lhs, rhs, prefactor: int, params: dict, on=None, **extras) -> ReductionCheck:
+    """Every operator inequality's verdict: ``rhs - lhs``, or ``on^T (rhs - lhs) on``
+    for a real isometry ``on`` onto the subspace where the check is taken, has
+    minimum eigenvalue at least ``-GAP_TOL``."""
+    diff = rhs.matrix - lhs.matrix
+    gap = min_eigenvalue(diff if on is None else on.T @ diff @ on)
+    return ReductionCheck(lhs, rhs, gap, prefactor, gap >= -GAP_TOL, params, GAP_TOL, extras)
+
+
+def _sampled_check(margins: np.ndarray, params: dict, **extras) -> SampledCheck:
+    """Every per-sample verdict: the least margin is at least ``-GAP_TOL``."""
+    low = float(margins.min())
+    return SampledCheck(margins, low, low >= -GAP_TOL, params, GAP_TOL, extras)
+
+
+def _require_symmetric_vector(theta: np.ndarray, n: int, d: int, tol: float = SYMMETRY_TOL) -> None:
     arr = theta.reshape((d,) * n)
     for i in range(n - 1):
-        if np.linalg.norm(np.swapaxes(arr, i, i + 1) - arr) > SYMMETRY_TOL:
-            raise ValueError("vector is not permutation symmetric")
+        if np.linalg.norm(np.swapaxes(arr, i, i + 1) - arr) > tol:
+            raise ValueError(f"input is not permutation symmetric to {tol:g}")
 
 
 def _sym_isometry(n: int, d: int) -> np.ndarray:
@@ -186,16 +195,25 @@ def constrained_moment(theta, n: int, d: int) -> HermitianOperator:
     Since ``P = P^dag P``, it is the Gram matrix of the projected columns
     ``P_sym^{2n} (theta (x) e_b)``, taken in the occupation basis of
     ``Sym^{2n}`` (:func:`_sym_gram`) and divided by the binomial.  The input
-    must be a unit vector in the n-copy symmetric subspace.
+    must be a unit vector in the n-copy symmetric subspace.  The side cap
+    holds the dense output, of side ``d^n``, the largest array built.
     """
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     if theta.size != d**n:
         raise ValueError(f"vector length {theta.size} is not {d}^{n}")
     _require_symmetric_vector(theta, n, d)
-    check_side(d ** (2 * n), "degree-2n moment operator")
+    check_side(d**n, "moment operator")
     out = _sym_gram(theta[None, :], n, d)[0, :, 0]
     out /= math.comb(2 * n + d - 1, 2 * n)
     return HermitianOperator((out + out.conj().T) / 2.0, Dims((d,) * n))
+
+
+def _vector_powers(psi: np.ndarray, n: int) -> np.ndarray:
+    """Row ``j`` is ``psi[j]^{(x) n}``, by broadcast outer products in ``np.kron`` order."""
+    power = psi
+    for _ in range(n - 1):
+        power = (power[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+    return power
 
 
 def _require_samples(samples: int) -> None:
@@ -226,9 +244,7 @@ def monte_carlo_constrained_moment(
         rng = stream(seed, "haar_pure", "mc", done)
         psi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-        block = psi
-        for _ in range(n - 1):
-            block = (block[:, :, None] * psi[:, None, :]).reshape(m, -1)
+        block = _vector_powers(psi, n)
         w = np.abs(block @ theta.conj()) ** 2
         prod = (block * w[:, None])[:, :, None] * block.conj()[:, None, :]
         mean += prod.sum(axis=0)
@@ -250,17 +266,7 @@ def check_pure_reduction(theta, n: int, d: int) -> ReductionCheck:
     prefactor = math.comb(n + d - 1, n) ** 3
     rhs = HermitianOperator(prefactor * moment.matrix, moment.dims)
     lhs = HermitianOperator(np.outer(theta, theta.conj()), moment.dims)
-    v = _sym_isometry(n, d)
-    gap = min_eigenvalue(v.T @ (rhs.matrix - lhs.matrix) @ v)
-    return ReductionCheck(
-        lhs=lhs,
-        rhs=rhs,
-        gap_min_eig=gap,
-        prefactor=prefactor,
-        passed=gap >= -GAP_TOL,
-        params={"n": n, "d": d},
-        tolerance=GAP_TOL,
-    )
+    return _operator_check(lhs, rhs, prefactor, {"n": n, "d": d}, on=_sym_isometry(n, d))
 
 
 def _h_reduced_bound(theta: np.ndarray, n: int, d: int) -> tuple[HermitianOperator, int]:
@@ -302,25 +308,13 @@ def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> Redu
     rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
     reduced, prefactor = _h_reduced_bound(theta, n, d)
     rhs = HermitianOperator(prefactor * reduced.matrix, reduced.dims)
-    gap = min_eigenvalue(rhs.matrix - rho.matrix)
+    params = {"n": n, "d": d, "seed": seed, "samples": samples}
 
     psi, sigmas = _haar_stack(d, samples, seed, "mixed-fid")
-    power = psi
-    for _ in range(n - 1):
-        power = (power[:, :, None] * psi[:, None, :]).reshape(samples, -1)
-    margins = _product_fidelities(_sqrtm_psd(rho.matrix), sigmas, n) - np.abs(power @ theta.conj())
-    fid_ok = bool(margins.min() >= -GAP_TOL)
-
-    return ReductionCheck(
-        lhs=rho,
-        rhs=rhs,
-        gap_min_eig=gap,
-        prefactor=prefactor,
-        passed=bool(gap >= -GAP_TOL) and fid_ok,
-        params={"n": n, "d": d, "seed": seed, "samples": samples},
-        tolerance=GAP_TOL,
-        extras={"fidelity_domination_min_margin": float(margins.min())},
-    )
+    margins = _product_fidelities(_sqrtm_psd(rho.matrix), sigmas, n) - np.abs(_vector_powers(psi, n) @ theta.conj())
+    fid = _sampled_check(margins, params)
+    check = _operator_check(rho, rhs, prefactor, params, fidelity_domination_min_margin=fid.min_margin)
+    return replace(check, passed=check.passed and fid.passed)
 
 
 def _copies_of(rho: DensityMatrix, ch: KrausChannel) -> int:
@@ -330,6 +324,14 @@ def _copies_of(rho: DensityMatrix, ch: KrausChannel) -> int:
     if any(f != d for f in rho.dims):
         raise ValueError(f"state factors {rho.dims.factors} are not copies of dim {d}")
     return len(rho.dims)
+
+
+def _require_image(ch: KrausChannel, rho: DensityMatrix, target: HermitianOperator, what: str) -> None:
+    """Raise unless ``ch`` on every factor maps ``rho`` to ``target`` within ``PRECONDITION_TOL``."""
+    mapped = channel_on_factors(ch, rho.op, range(len(rho.dims)))
+    defect = float(np.linalg.norm(mapped.matrix - target.matrix))
+    if defect > PRECONDITION_TOL:
+        raise ValueError(f"{what}: {defect:.3e}")
 
 
 def check_integrand_domination(
@@ -353,24 +355,14 @@ def check_integrand_domination(
     n = _copies_of(rho, ch)
     if tau0.dims.size != ch.out_dims.size:
         raise ValueError(f"target side {tau0.dims.size} is not the channel output side {ch.out_dims.size}")
-    mapped = channel_on_factors(ch, rho.op, range(n))
-    target = tensor_power(tau0.op, n)
-    defect = float(np.linalg.norm(mapped.matrix - target.matrix))
-    if defect > PRECONDITION_TOL:
-        raise ValueError(f"channel power of the state is not the target power: {defect:.3e}")
+    _require_image(ch, rho, tensor_power(tau0.op, n), "channel power of the state is not the target power")
     d = ch.in_dims.size
     _, sigmas = _haar_stack(d, samples, seed, "domination", induced=True)
     f_single = _product_fidelities(_sqrtm_psd(tau0.matrix), _kraus_sum(ch, sigmas), 1)
     margins = f_single ** (2 * n) - _product_fidelities(_sqrtm_psd(rho.matrix), sigmas, n) ** 2
     near = int((f_single >= 1.0 - delta).sum())
-    return SampledCheck(
-        margins=margins,
-        min_margin=float(margins.min()),
-        passed=bool(margins.min() >= -GAP_TOL),
-        params={"n": n, "d": d, "seed": seed, "samples": samples, "delta": delta},
-        tolerance=GAP_TOL,
-        extras={"mass_in_kdelta": near / samples, "mass_out_kdelta": 1.0 - near / samples},
-    )
+    params = {"n": n, "d": d, "seed": seed, "samples": samples, "delta": delta}
+    return _sampled_check(margins, params, mass_in_kdelta=near / samples, mass_out_kdelta=1.0 - near / samples)
 
 
 def check_fixed_point_reduction(
@@ -386,21 +378,12 @@ def check_fixed_point_reduction(
     """
     _require_samples(samples)
     n = _copies_of(rho, ch)
-    mapped = channel_on_factors(ch, rho.op, range(n))
-    defect = float(np.linalg.norm(mapped.matrix - rho.matrix))
-    if defect > PRECONDITION_TOL:
-        raise ValueError(f"state is not a fixed point of the channel power: {defect:.3e}")
+    _require_image(ch, rho, rho, "state is not a fixed point of the channel power")
     d = ch.in_dims.size
     _, sigmas = _haar_stack(d, samples, seed, "fixed-point", induced=True)
     root = _sqrtm_psd(rho.matrix)
     margins = _product_fidelities(root, _kraus_sum(ch, sigmas), n) - _product_fidelities(root, sigmas, n)
-    return SampledCheck(
-        margins=margins,
-        min_margin=float(margins.min()),
-        passed=bool(margins.min() >= -GAP_TOL),
-        params={"n": n, "d": d, "seed": seed, "samples": samples},
-        tolerance=GAP_TOL,
-    )
+    return _sampled_check(margins, {"n": n, "d": d, "seed": seed, "samples": samples})
 
 
 def _classical_vector(weights: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -421,16 +404,14 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
     inequality ``P(x) <= prefactor * diag(x)`` is checked for every string
     ``x`` on the operator's diagonal (which copywise dephasing leaves as is).
     """
+    _require_at_least(1, n=n, d=d)
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != d**n:
         raise ValueError(f"weights length {w.size} is not {d}^{n}")
     if (w < -1e-14).any() or abs(w.sum() - 1.0) > 1e-12:
         raise ValueError("weights must be a probability distribution")
     w = np.clip(w, 0.0, None)
-    arr = w.reshape((d,) * n)
-    for i in range(n - 1):
-        if np.linalg.norm(np.swapaxes(arr, i, i + 1) - arr) > 1e-12:
-            raise ValueError("distribution is not permutation symmetric")
+    _require_symmetric_vector(w, n, d, tol=1e-12)
 
     reduced, prefactor = _h_reduced_bound(_classical_vector(w, d, n), n, d)
     rhs_diag = prefactor * reduced.matrix.diagonal().real
@@ -494,7 +475,9 @@ def check_truncated_ambient_reduction(
     ``C^d``.  Then the rhs commutes with permutations and, as ``theta``, vanishes
     off those strings, so the gap is the margin on those classes of ``Sym^m``.
     """
-    if not (0 < d < big_d):
+    _require_at_least(1, n=n, d=d)
+    _require_at_least(0, k=k)
+    if d >= big_d:
         raise ValueError("need d < D for a proper truncation")
     m = n + k
     side = big_d**m
@@ -512,7 +495,6 @@ def check_truncated_ambient_reduction(
     index = np.arange(side).reshape((big_d,) * m)
     rhs = np.zeros((side, side), dtype=complex)
     for msize in range(n, m + 1):
-        check_side(d ** (2 * msize), "degree-2m moment operator")
         norm = math.comb(2 * msize + d - 1, 2 * msize)
         for subset in itertools.combinations(range(m), msize):
             comp = [i for i in range(m) if i not in subset]
@@ -526,16 +508,7 @@ def check_truncated_ambient_reduction(
 
     prefactor = sum(math.comb(m, q) for q in range(k + 1)) * math.comb(n + d - 1, n) ** 3
     rhs = prefactor * (rhs + rhs.conj().T) / 2.0
-    lhs = np.outer(theta, theta.conj())
-    v = _sym_isometry(m, big_d)[:, kept]
-    gap = min_eigenvalue(v.T @ (rhs - lhs) @ v)
     dims = Dims((big_d,) * m)
-    return ReductionCheck(
-        lhs=HermitianOperator(lhs, dims),
-        rhs=HermitianOperator(rhs, dims),
-        gap_min_eig=gap,
-        prefactor=prefactor,
-        passed=bool(gap >= -GAP_TOL),
-        params={"n": n, "k": k, "d": d, "D": big_d, "seed": seed},
-        tolerance=GAP_TOL,
-    )
+    lhs = HermitianOperator(np.outer(theta, theta.conj()), dims)
+    params = {"n": n, "k": k, "d": d, "D": big_d, "seed": seed}
+    return _operator_check(lhs, HermitianOperator(rhs, dims), prefactor, params, on=_sym_isometry(m, big_d)[:, kept])

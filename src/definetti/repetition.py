@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .measures import (
+    _sqrtm_psd,
     conditional_mutual_information,
     mutual_information,
     relative_entropy,
@@ -244,7 +245,7 @@ def post_measurement_update(rho_uv: DensityMatrix, t_on_u: HermitianOperator) ->
     nu = len(t_on_u.dims)
     if rho_uv.dims.factors[:nu] != t_on_u.dims.factors or nu >= len(rho_uv.dims):
         raise ValueError("T must act on a leading proper factor group of the state")
-    w = _require_contraction(t_on_u.matrix)
+    _require_contraction(t_on_u.matrix)
     keep_v = list(range(nu, len(rho_uv.dims)))
     dim_v = math.prod(rho_uv.dims.factors[nu:])
     passed_v = _local_test(t_on_u.matrix, rho_uv.matrix, rho_uv.dims.factors, range(nu))
@@ -253,10 +254,7 @@ def post_measurement_update(rho_uv: DensityMatrix, t_on_u: HermitianOperator) ->
         raise ValueError(f"vanishing outcome probability {p!r}")
     tau_mat = passed_v / p
     # sqrt(T) Kraus form; identical after the partial trace by cyclicity
-    wc = np.clip(w, 0.0, None)
-    vecs = np.linalg.eigh(t_on_u.matrix)[1]
-    sqrt_t = (vecs * np.sqrt(wc)) @ vecs.conj().T
-    sqrt_full = np.kron(sqrt_t, np.eye(dim_v))
+    sqrt_full = np.kron(_sqrtm_psd(t_on_u.matrix), np.eye(dim_v))
     kraus_mat = (
         partial_trace(
             HermitianOperator(sqrt_full @ rho_uv.matrix @ sqrt_full, rho_uv.dims), keep_v

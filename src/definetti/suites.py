@@ -17,6 +17,7 @@ import numpy as np
 from . import reductions, repetition, separability
 from .operators import (
     HermitianOperator,
+    _require_at_least,
     hermitian,
     induced_mixed_state,
     random_contraction,
@@ -70,6 +71,8 @@ def all_passed(records) -> bool:
 
 def pinching_suite(seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4):
     """Random-instance check of the cross-term pinching inequality."""
+    _require_at_least(2, d_max=d_max)
+    _require_at_least(1, r_max=r_max)
     out = []
     for s in range(seeds):
         rng = stream(seed, "pinching", s)
@@ -127,6 +130,7 @@ def definetti_suite(n: int = 2, d: int = 2, seeds: int = 100, seed: int = 0, mix
 
 def classical_suite(d: int = 2, n: int = 3, seed: int = 0):
     """Pointwise reduction for the three canonical symmetric distributions."""
+    _require_at_least(1, n=n, d=d)
     size = d**n
     uniform = np.full(size, 1.0 / size)
     point = np.zeros(size)

@@ -52,6 +52,14 @@ def test_verify_definetti_pure_and_mixed(tmp_path):
     assert all(r["anchor"] == "mixed-state-constrained-reduction" for r in recs)
 
 
+def test_verify_definetti_past_the_degree_2n_cap(tmp_path):
+    # dense sides 81 (pure) and 1024 (mixed) fit the default cap
+    for args in (("--d", "3", "--n", "4", "--seeds", "2"), ("--mixed", "--d", "2", "--n", "5", "--seeds", "1")):
+        code, blob = run(tmp_path, "verify-definetti", *args)
+        assert code == 0
+        assert all(r["pass"] for r in json.loads(blob))
+
+
 def test_verify_classical(tmp_path):
     code, blob = run(tmp_path, "verify-classical", "--d", "2", "--n", "2")
     assert code == 0
@@ -311,6 +319,15 @@ def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys, monkeypat
     assert one_stderr_line(main(["hsep", "--op", str(skew), "--out", out])) == 2
     assert one_stderr_line(main(["verify-pinching", "--seeds", "2", "--max-dim", "0", "--out", out])) == 2
     assert one_stderr_line(main(["verify-truncated", "--config", "2,3,1", "--out", out])) == 2
+    # degenerate sizes are usage errors, not failed checks or tracebacks
+    assert one_stderr_line(main(["verify-definetti", "--d", "0", "--out", out])) == 2
+    assert one_stderr_line(main(["verify-definetti", "--mixed", "--d", "0", "--out", out])) == 2
+    assert one_stderr_line(main(["verify-classical", "--d", "0", "--out", out])) == 2
+    assert one_stderr_line(main(["verify-classical", "--n", "0", "--out", out])) == 2
+    assert one_stderr_line(main(["verify-truncated", "--config", "2,3,1,-1", "--out", out])) == 2
+    assert one_stderr_line(main(["verify-truncated", "--config", "2,3,0,1", "--out", out])) == 2
+    assert main(["verify-pinching", "--d-max", "1", "--out", out]) == 2
+    assert capsys.readouterr().err == "definetti: need d_max >= 2, got 1\n"
     ugly = tmp_path / "ugly.json"
     ugly.write_text("{\"kind\": \"hsep_seesaw\"}")
     assert one_stderr_line(main(["recheck-certificate", str(ugly)])) == 2

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,14 +175,19 @@ def test_sym_gram_matches_dense_projector(m, d, nrows, symmetric, seed):
 
 
 def test_constrained_moment_keeps_side_cap():
+    # the cap holds the dense sides actually built: d^n for the moment and
+    # D^(n+k) for the truncated check, not the degree-2n space
     theta = symmetric_state_vector(4, 2, 17)
-    set_max_side(255)
+    set_max_side(15)
     with pytest.raises(ResourceCapError):
         constrained_moment(theta, 4, 2)
-    # the ambient side 81 fits, the degree-8 moment on the low block does not
-    set_max_side(200)
+    set_max_side(16)
+    assert constrained_moment(theta, 4, 2).side == 16
+    set_max_side(80)
     with pytest.raises(ResourceCapError):
         check_truncated_ambient_reduction(2, 2, 2, 3, seed=0)
+    set_max_side(81)
+    assert check_truncated_ambient_reduction(2, 2, 2, 3, seed=0).passed
 
 
 def test_constrained_moment_peak_memory_stays_small():
@@ -194,6 +201,21 @@ def test_constrained_moment_peak_memory_stays_small():
         tracemalloc.stop()
     assert res.passed
     assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("mixed,n,d,bound_mb", [(False, 8, 2, 8), (True, 4, 2, 6)])
+def test_reductions_past_the_degree_2n_cap_stay_small(mixed, n, d, bound_mb):
+    # both once held the degree-2n side 65536 to the default cap; the dense
+    # side built is 256 in both, with peaks of 4.1 MB and 3.2 MB
+    theta = None if mixed else symmetric_state_vector(n, d, 20)
+    tracemalloc.start()
+    try:
+        res = check_mixed_reduction(n, d, seed=0) if mixed else check_pure_reduction(theta, n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < bound_mb * 2**20, peak
 
 
 def test_monte_carlo_crosses_a_chunk_boundary():
@@ -510,6 +532,28 @@ def test_classical_reduction_rejects_asymmetric():
         check_classical_reduction(w, 2, 3)
 
 
+def test_classical_symmetry_test_stays_at_1e_12():
+    # an asymmetry of norm 5.7e-11 passes SYMMETRY_TOL (1e-10) but not the classical 1e-12
+    w = np.full(8, 1 / 8)
+    w[0b001] += 2e-11
+    w[0b010] -= 2e-11
+    with pytest.raises(ValueError, match="not permutation symmetric to 1e-12"):
+        check_classical_reduction(w, 2, 3)
+
+
+def test_degenerate_sizes_name_the_parameter():
+    with pytest.raises(ValueError, match="need d >= 1, got 0"):
+        symmetric_state_vector(2, 0, 0)
+    with pytest.raises(ValueError, match="need d >= 1, got 0"):
+        check_classical_reduction(np.ones(1), 0, 2)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        check_classical_reduction(np.ones(1), 2, 0)
+    with pytest.raises(ValueError, match="need n >= 1, got 0"):
+        check_truncated_ambient_reduction(0, 1, 2, 3, seed=0)
+    with pytest.raises(ValueError, match="need k >= 0, got -1"):
+        check_truncated_ambient_reduction(1, -1, 2, 3, seed=0)
+
+
 def test_truncated_reduction_k0_matches_pure():
     theta2 = symmetric_state_vector(2, 2, 14)
     emb = np.zeros((3, 3), dtype=complex)
@@ -638,3 +682,18 @@ def test_reduction_check_fields():
     assert res.params["n"] == 2 and res.params["d"] == 2
     assert res.rhs.dims.factors == (2, 2)
     assert isinstance(res.prefactor, int)
+
+
+def test_every_pass_rule_lives_in_the_two_builders():
+    # ReductionCheck and SampledCheck are built, and GAP_TOL is read, only in
+    # _operator_check and _sampled_check, so one place decides every margin
+    builders = {"_operator_check", "_sampled_check"}
+    seen = []
+    for top in ast.parse(Path(reductions.__file__).read_text(encoding="utf-8")).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            built = isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("ReductionCheck", "SampledCheck")
+            read = isinstance(node, ast.Name) and node.id == "GAP_TOL" and isinstance(node.ctx, ast.Load)
+            if built or read:
+                seen.append(owner)
+    assert set(seen) == builders, seen
