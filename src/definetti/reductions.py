@@ -175,10 +175,13 @@ def _sym_gram(rows: np.ndarray, m: int, d: int) -> np.ndarray:
     = sqrt(C(c) C(b) / C(c+b)) |S_{c+b}>``, so ``P_sym^{2m} (row (x) e_b)
     = sum_c s_c / sqrt(C(c+b)) |S_{c+b}>`` with ``s_c`` the row's sum over
     class ``c``.  ``G`` is the Gram matrix of these coordinate vectors,
-    expanded from classes to basis indices.  Rows need not be symmetric."""
+    expanded from classes to basis indices.  Rows need not be symmetric.
+    With ``r``, ``r2`` the class counts of ``Sym^m``, ``Sym^{2m}``, the side cap holds the
+    root entry counts of the pair table (``r^2 d``) and of ``z`` (``len(rows) r r2``)."""
+    nrows, r = len(rows), math.comb(m + d - 1, m)
+    check_side(math.isqrt(max(r * r * d, nrows * r * math.comb(2 * m + d - 1, 2 * m))), "occupation Gram")
     label, _, _ = _occupation_table(m, d)
     pair, coef, r2 = _occupation_pairs(m, d)
-    nrows, r = len(rows), len(pair)
     sums = np.zeros((nrows, r), dtype=complex)
     np.add.at(sums, (slice(None), label), rows)
     # for a fixed class b, c -> c+b is injective: the scatter has no collisions
@@ -196,7 +199,8 @@ def constrained_moment(theta, n: int, d: int) -> HermitianOperator:
     ``P_sym^{2n} (theta (x) e_b)``, taken in the occupation basis of
     ``Sym^{2n}`` (:func:`_sym_gram`) and divided by the binomial.  The input
     must be a unit vector in the n-copy symmetric subspace.  The side cap
-    holds the dense output, of side ``d^n``, the largest array built.
+    holds the dense output, of side ``d^n``, and the occupation-basis
+    intermediates of :func:`_sym_gram`, which outgrow it for large ``d``.
     """
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     if theta.size != d**n:

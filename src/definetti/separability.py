@@ -331,13 +331,11 @@ def _seesaw_product_max(
     )
 
 
-def _require_contraction(matrix: np.ndarray) -> np.ndarray:
-    """Raise unless ``0 <= matrix <= 1`` within ``CONTRACTION_TOL``; return
-    the ascending spectrum."""
+def _require_contraction(matrix: np.ndarray) -> None:
+    """Raise unless ``0 <= matrix <= 1`` within ``CONTRACTION_TOL``."""
     w = np.linalg.eigvalsh(matrix)
     if w[0] < -CONTRACTION_TOL or w[-1] > 1.0 + CONTRACTION_TOL:
         raise ValueError(f"operator must satisfy 0 <= M <= 1: spectrum [{w[0]:.3e}, {w[-1]:.3e}]")
-    return w
 
 
 def _require_restarts(restarts, initial_points=()) -> None:

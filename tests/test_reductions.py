@@ -190,6 +190,24 @@ def test_constrained_moment_keeps_side_cap():
     assert check_truncated_ambient_reduction(2, 2, 2, 3, seed=0).passed
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: constrained_moment(np.eye(1024)[0], 1, 1024),
+        lambda: constrained_moment(symmetric_state_vector(2, 64, 0), 2, 64),
+        lambda: check_mixed_reduction(1, 32, seed=0),
+        lambda: check_classical_reduction(np.full(32, 1 / 32), 32, 1),
+        lambda: check_truncated_ambient_reduction(1, 0, 257, 258, seed=0),
+    ],
+    ids=["pure-1-1024", "pure-2-64", "mixed-1-32", "classical-32-1", "truncated-1-0-257-258"],
+)
+def test_occupation_gram_keeps_the_side_cap(call):
+    # every dense side passes the cap, but the class-pair table (r^2 d
+    # entries) or the scatter (r r2) does not: 8 GiB of pairs at (1, 1024)
+    with pytest.raises(ResourceCapError, match="occupation Gram"):
+        call()
+
+
 def test_constrained_moment_peak_memory_stays_small():
     # the side-4096 projector alone would take 268 MB
     theta = symmetric_state_vector(6, 2, 18)
