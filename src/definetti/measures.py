@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, partial_trace
+from .operators import DensityMatrix, HermitianOperator, _psd_spectrum, partial_trace
 
 __all__ = [
     "Povm",
@@ -30,31 +30,17 @@ __all__ = [
     "measured_fidelity",
 ]
 
-EIG_CLIP_TOL = 1e-10
 SUPPORT_FLOOR = 1e-12
 
 
 def _matrix(x) -> np.ndarray:
-    if isinstance(x, DensityMatrix):
-        return x.matrix
-    if isinstance(x, HermitianOperator):
+    if isinstance(x, (DensityMatrix, HermitianOperator)):
         return x.matrix
     return np.asarray(x, dtype=complex)
 
 
-def _clipped_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition with tiny negative eigenvalues clipped to zero.
-
-    Values below ``-EIG_CLIP_TOL`` are genuine PSD violations and raise.
-    """
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -EIG_CLIP_TOL:
-        raise ValueError(f"operator is not PSD: minimum eigenvalue {w[0]:.3e}")
-    return np.clip(w, 0.0, None), v
-
-
 def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = _clipped_eigh(mat)
+    w, v = _psd_spectrum(mat, vectors=True)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -71,29 +57,20 @@ def fidelity(rho, sigma) -> float:
 
 def _root_fidelities(inner: np.ndarray) -> np.ndarray:
     """Fidelities of a stack of Hermitian ``sqrt(rho) sigma sqrt(rho)``, by one
-    stacked ``eigvalsh``; an eigenvalue below ``-EIG_CLIP_TOL`` raises."""
-    w = np.linalg.eigvalsh(inner)
-    if w[:, 0].min() < -EIG_CLIP_TOL:
-        raise ValueError(f"operator is not PSD: minimum eigenvalue {w[:, 0].min():.3e}")
-    return np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1)
+    stacked spectrum under the PSD rule of ``_psd_spectrum``."""
+    return np.sqrt(_psd_spectrum(inner)).sum(axis=-1)
 
 
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference."""
-    diff = _matrix(rho) - _matrix(sigma)
-    w = np.linalg.eigvalsh(diff)
-    return float(np.abs(w).sum() / 2.0)
-
-
-def _entropy_of_eigs(w: np.ndarray) -> float:
-    w = w[w > 0]
-    return float(-(w * np.log2(w)).sum())
+    return float(np.abs(np.linalg.eigvalsh(_matrix(rho) - _matrix(sigma))).sum() / 2.0)
 
 
 def entropy(rho) -> float:
     """von Neumann entropy in bits, with ``0 log 0 = 0``."""
-    w, _ = _clipped_eigh(_matrix(rho))
-    return _entropy_of_eigs(w)
+    w = _psd_spectrum(_matrix(rho))
+    w = w[w > 0]
+    return float(-(w * np.log2(w)).sum())
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -107,21 +84,14 @@ def relative_entropy(rho, sigma) -> float:
     s = _matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    ws, vs = _clipped_eigh(s)
-    kernel = vs[:, ws <= SUPPORT_FLOOR]
-    if kernel.shape[1]:
-        overlap = float(np.linalg.norm(kernel.conj().T @ r @ kernel))
-        if overlap > SUPPORT_FLOOR:
-            return math.inf
-    wr, vr = _clipped_eigh(r)
-    term1 = float((wr[wr > 0] * np.log2(wr[wr > 0])).sum())
-    log_s = sum(
-        math.log2(w) * np.outer(vs[:, i], vs[:, i].conj())
-        for i, w in enumerate(ws)
-        if w > SUPPORT_FLOOR
-    )
-    term2 = float(np.trace(r @ log_s).real)
-    return term1 - term2
+    ws, vs = _psd_spectrum(s, vectors=True)
+    on = ws > SUPPORT_FLOOR
+    kernel = vs[:, ~on]
+    if np.linalg.norm(kernel.conj().T @ r @ kernel) > SUPPORT_FLOOR:
+        return math.inf
+    # Tr[rho log sigma] from the diagonal of rho in sigma's eigenbasis
+    diag = (vs.conj() * (r @ vs)).sum(axis=0).real
+    return -entropy(r) - float(np.log2(ws[on]) @ diag[on])
 
 
 def _reduced(rho, keep) -> HermitianOperator:
@@ -161,19 +131,10 @@ def purify(rho: DensityMatrix) -> np.ndarray:
     The environment dimension always equals the full system dimension, so the
     output lives on a doubled space with dims ``rho.dims + rho.dims``.
     """
-    w, v = _clipped_eigh(rho.matrix)
-    d = rho.dims.size
-    vec = np.zeros(d * d, dtype=complex)
-    for rank, i in enumerate(range(d - 1, -1, -1)):
-        if w[i] > 0:
-            vec += math.sqrt(w[i]) * np.kron(v[:, i], _env_basis(d, rank))
+    w, v = _psd_spectrum(rho.matrix, vectors=True)
+    # system index first; environment basis state k holds the k-th largest eigenvalue
+    vec = (v * np.sqrt(w))[:, ::-1].reshape(-1)
     return vec / np.linalg.norm(vec)
-
-
-def _env_basis(d: int, i: int) -> np.ndarray:
-    e = np.zeros(d, dtype=complex)
-    e[i] = 1.0
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +156,7 @@ class Povm:
         if any(e.shape != (side, side) for e in elems):
             raise ValueError("POVM elements must share one square shape")
         stack = np.array(elems, dtype=complex)
-        if (np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2.0)[:, 0] < -EIG_CLIP_TOL).any():
-            raise ValueError("POVM element is not PSD")
+        _psd_spectrum((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
         if np.linalg.norm(stack.sum(axis=0) - np.eye(side)) > 1e-10:
             raise ValueError("POVM elements do not sum to the identity")
         labels = self.labels or tuple(range(len(elems)))

@@ -228,9 +228,7 @@ def density(matrix, dims) -> DensityMatrix:
     """Checked entry point for outside data: :func:`hermitian`, then a
     minimum eigenvalue of at least ``-PSD_MIN_EIG_TOL`` and the trace."""
     op = hermitian(matrix, dims)
-    min_eig = float(np.linalg.eigvalsh(op.matrix)[0])
-    if min_eig < -PSD_MIN_EIG_TOL:
-        raise ValueError(f"not PSD: minimum eigenvalue {min_eig:.3e}")
+    _psd_spectrum(op.matrix)
     return DensityMatrix(op)
 
 
@@ -531,6 +529,18 @@ def random_contraction(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # spectral routines
+
+
+def _psd_spectrum(mat: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of a Hermitian matrix or a stack of them, clipped
+    at 0, and with ``vectors`` the eigenvectors too.  An eigenvalue below
+    ``-PSD_MIN_EIG_TOL`` raises: the one place the PSD rule is written."""
+    w, v = np.linalg.eigh(mat) if vectors else (np.linalg.eigvalsh(mat), None)
+    least = float(w[..., 0].min())
+    if least < -PSD_MIN_EIG_TOL:
+        raise ValueError(f"not PSD: minimum eigenvalue {least:.3e}")
+    w = np.clip(w, 0.0, None)
+    return (w, v) if vectors else w
 
 
 def min_eigenvalue(a) -> float:

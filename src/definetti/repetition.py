@@ -218,6 +218,19 @@ def _pass_pairs(m: HermitianOperator, rho: np.ndarray, n: int, pairs) -> np.ndar
     return rho
 
 
+def _conditioning_sides(m: HermitianOperator, alpha: DensityMatrix, beta: DensityMatrix) -> tuple:
+    """``(da, db, n)`` for ``M`` on ``(A, B)``, ``alpha`` on ``A^n`` and ``beta`` on ``B^n``."""
+    if len(m.dims) != 2:
+        raise ValueError("measurement must have two factors (A, B)")
+    da, db = m.dims.factors
+    n = len(alpha.dims)
+    if len(beta.dims) != n:
+        raise ValueError("alpha and beta must have one factor per test")
+    if any(f != da for f in alpha.dims) or any(f != db for f in beta.dims):
+        raise ValueError("state factors do not match the measurement")
+    return da, db, n
+
+
 def _cmi_links(tau: DensityMatrix) -> list:
     """The links ``I(A_t:B_t|A_<t)`` of the chain on an ``A^r B^r`` state."""
     r = len(tau.dims) // 2
@@ -302,14 +315,9 @@ def cmi_chain_check(
     information, which is below the relative entropy to the product of the
     untouched marginals, which is below ``log2(1/p_k)``.
     """
-    if len(m.dims) != 2:
-        raise ValueError("measurement must have two factors (A, B)")
-    da, db = m.dims.factors
-    n = len(alpha.dims)
-    if len(beta.dims) != n or not 1 <= k <= n - 1:
-        raise ValueError("need states on n copies each and 1 <= k <= n-1")
-    if any(f != da for f in alpha.dims) or any(f != db for f in beta.dims):
-        raise ValueError("state factors do not match the measurement")
+    da, db, n = _conditioning_sides(m, alpha, beta)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"need 1 <= k <= n-1, got k={k!r} at n={n}")
     _require_contraction(m.matrix)
 
     after = _pass_pairs(m, np.kron(alpha.matrix, beta.matrix), n, range(k))
@@ -486,14 +494,7 @@ def recursive_conditioning_demo(
     """
     if selection not in ("greedy_min_mi", "uniform_random"):
         raise ValueError(f"unknown selection rule {selection!r}")
-    if len(m.dims) != 2:
-        raise ValueError("measurement must have two factors (A, B)")
-    da, db = m.dims.factors
-    n = len(alpha.dims)
-    if len(beta.dims) != n:
-        raise ValueError("alpha and beta must have one factor per test")
-    if any(f != da for f in alpha.dims) or any(f != db for f in beta.dims):
-        raise ValueError("state factors do not match the measurement")
+    da, db, n = _conditioning_sides(m, alpha, beta)
     cut = BipartiteCut((0,), (1,))
     h_q = hqext(m, cut, q).value
     rng = stream(seed, "conditioning", selection)
@@ -511,7 +512,9 @@ def recursive_conditioning_demo(
         for t in range(r):
             surrogates.append(0.5 * mutual_information(tau, [t], [r + t]))
         if selection == "greedy_min_mi":
-            t_choice = int(np.argmin(surrogates))
+            # the first pair within 1e-12 of the least: on a product state
+            # every surrogate is 0, and rounding noise must not pick the pair
+            t_choice = next(t for t, s in enumerate(surrogates) if s <= min(surrogates) + 1e-12)
         else:
             t_choice = int(rng.integers(r))
         chosen = remaining[t_choice]

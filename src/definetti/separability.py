@@ -30,6 +30,7 @@ from .measures import (
     outcome_distribution,
 )
 from .operators import (
+    PSD_MIN_EIG_TOL,
     DensityMatrix,
     Dims,
     HermitianOperator,
@@ -58,7 +59,6 @@ __all__ = [
     "recheck_certificate",
 ]
 
-CONTRACTION_TOL = 1e-10
 # a seesaw start stops once its value gains less than SEESAW_STOP, and after
 # SEESAW_MAX_ITERS iterations in any case (the measured bound's oracle runs 80)
 SEESAW_STOP = 1e-12
@@ -332,9 +332,9 @@ def _seesaw_product_max(
 
 
 def _require_contraction(matrix: np.ndarray) -> None:
-    """Raise unless ``0 <= matrix <= 1`` within ``CONTRACTION_TOL``."""
+    """Raise unless ``0 <= matrix <= 1`` within ``PSD_MIN_EIG_TOL``."""
     w = np.linalg.eigvalsh(matrix)
-    if w[0] < -CONTRACTION_TOL or w[-1] > 1.0 + CONTRACTION_TOL:
+    if w[0] < -PSD_MIN_EIG_TOL or w[-1] > 1.0 + PSD_MIN_EIG_TOL:
         raise ValueError(f"operator must satisfy 0 <= M <= 1: spectrum [{w[0]:.3e}, {w[-1]:.3e}]")
 
 

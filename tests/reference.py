@@ -3,7 +3,8 @@
 The package builds ``P_sym`` and ``Sym^n`` from the occupation-class table
 and evaluates fidelities in stacked ``eigvalsh`` calls.  The constructions
 here take the other road: dense permutation unitaries, exact averages over
-the symmetric group, and one ``eigh`` per fidelity.  The package never
+the symmetric group, one ``eigh`` per fidelity, and purifications and
+relative entropies summed one eigenvector at a time.  The package never
 imports this module.
 """
 
@@ -224,3 +225,38 @@ def loop_fixed_point_margins(rho, ch, samples: int, seed: int) -> np.ndarray:
         after = fidelity_from_root(rho_root, tensor_power(mapped_sigma, n).matrix)
         margins[j] = after - fidelity_from_root(rho_root, tensor_power(sigma.op, n).matrix)
     return margins
+
+
+# ---------------------------------------------------------------------------
+# purification and relative entropy one eigenvector at a time
+
+
+def _clipped_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = np.linalg.eigh(mat)
+    return np.clip(w, 0.0, None), v
+
+
+def loop_purify(rho) -> np.ndarray:
+    """``sum_k sqrt(w_k) v_k (x) e_k`` over the eigenpairs, largest first."""
+    w, v = _clipped_eigh(rho.matrix)
+    d = rho.dims.size
+    vec = np.zeros(d * d, dtype=complex)
+    for rank, i in enumerate(range(d - 1, -1, -1)):
+        if w[i] > 0:
+            env = np.zeros(d, dtype=complex)
+            env[rank] = 1.0
+            vec += math.sqrt(w[i]) * np.kron(v[:, i], env)
+    return vec / np.linalg.norm(vec)
+
+
+def outer_product_relative_entropy(rho: np.ndarray, sigma: np.ndarray, floor: float = 1e-12) -> float:
+    """``D(rho || sigma)`` in bits with ``log sigma`` summed from outer
+    products; ``inf`` when ``rho`` has weight off the support of ``sigma``."""
+    ws, vs = _clipped_eigh(sigma)
+    kernel = vs[:, ws <= floor]
+    if kernel.shape[1] and np.linalg.norm(kernel.conj().T @ rho @ kernel) > floor:
+        return math.inf
+    wr = _clipped_eigh(rho)[0]
+    term1 = float((wr[wr > 0] * np.log2(wr[wr > 0])).sum())
+    log_s = sum(math.log2(w) * np.outer(vs[:, i], vs[:, i].conj()) for i, w in enumerate(ws) if w > floor)
+    return term1 - float(np.trace(rho @ log_s).real)

@@ -24,6 +24,7 @@ from definetti.measures import (
 from definetti.operators import (
     apply_channel,
     density,
+    haar_state_vector,
     hermitian,
     induced_mixed_state,
     partial_trace,
@@ -32,7 +33,7 @@ from definetti.operators import (
     qc_dephasing_channel,
     tensor,
 )
-from reference import fidelity_from_root
+from reference import fidelity_from_root, loop_purify, outer_product_relative_entropy
 
 Z0 = pure_state_density([1, 0], (2,))
 Z1 = pure_state_density([0, 1], (2,))
@@ -101,6 +102,34 @@ def test_relative_entropy_properties():
     assert abs(relative_entropy(Z0, Z0)) < 1e-10
 
 
+def _low_rank(rank: int, seed: int, label: str) -> np.ndarray:
+    """A rank-``rank`` state on C^4, supported on the first ``rank`` columns
+    of a random unitary drawn from ``seed``."""
+    g = np.stack([haar_state_vector(4, seed, "low-rank", j) for j in range(4)], axis=1)
+    u = np.linalg.qr(g)[0][:, :rank]
+    return u @ induced_mixed_state((rank,), seed, label).matrix @ u.conj().T
+
+
+def test_relative_entropy_matches_the_outer_product_sum():
+    pairs = [(Z0.matrix, Z1.matrix), (Z0.matrix, PLUS.matrix), (BELL.matrix, np.eye(4) / 4)]
+    for i in range(20):
+        dims = (2,) if i % 2 else (2, 2)
+        pairs.append((induced_mixed_state(dims, 12, i, "r").matrix, induced_mixed_state(dims, 12, i, "s").matrix))
+    for i in range(5):
+        # rho inside sigma's rank-2 support (finite), then with weight off it (inf)
+        pairs.append((_low_rank(2, i, "r"), _low_rank(2, i, "s")))
+        pairs.append((induced_mixed_state((2, 2), 12, i, "full").matrix, _low_rank(2, i, "s")))
+    finite = 0
+    for r, s in pairs:
+        ours, ref = relative_entropy(r, s), outer_product_relative_entropy(r, s)
+        if math.isinf(ref):
+            assert ours == math.inf
+        else:
+            finite += 1
+            assert abs(ours - ref) <= 1e-13
+    assert finite == len(pairs) - 7
+
+
 def test_relative_entropy_product_vs_marginals():
     # D(tau || rho_U x rho_V) >= D(tau || tau_U x tau_V) = I(U:V)
     for i in range(10):
@@ -148,6 +177,14 @@ def test_purify():
         v = purify(r)
         red = partial_trace_vector(v, (4, 4), [0])
         assert np.linalg.norm(red.matrix - r.matrix) <= 1e-10
+
+
+def test_purify_matches_the_eigenvector_loop():
+    states = [Z0, PLUS, BELL, density(np.eye(2) / 2, (2,)), density(np.diag([0.5, 0.5, 0.0]), (3,))]
+    states += [induced_mixed_state((2,) * (1 + i % 3), 13, i) for i in range(10)]
+    states += [density(_low_rank(2, i, "purify"), (2, 2)) for i in range(3)]
+    for rho in states:
+        assert np.array_equal(purify(rho), loop_purify(rho))
 
 
 def test_povm_validation():

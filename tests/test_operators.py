@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import definetti
 from definetti.operators import (
     HERMITICITY_ATOL,
     HERMITICITY_RTOL,
@@ -17,6 +20,7 @@ from definetti.operators import (
     HermitianOperator,
     ResourceCapError,
     _occupation_table,
+    _psd_spectrum,
     apply_channel,
     channel_on_factors,
     completely_depolarizing_channel,
@@ -599,3 +603,55 @@ def test_b_side_twirl_idempotent_and_permutation_invariant(a_dim, d, q, data, se
     moved = permute_factors(x, order)
     assert np.abs(b_side_twirl(moved, q).matrix - tw.matrix).max() <= 1e-12
     assert np.abs(permute_factors(tw, order).matrix - tw.matrix).max() <= 1e-12
+
+
+@given(
+    d=st.integers(1, 6),
+    stack=st.sampled_from([None, 1, 3]),
+    planted=st.sampled_from([0.0, -5e-11, -2e-10]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_psd_spectrum_on_planted_spectra(d, stack, planted, seed, data):
+    # U diag(w) U^dagger with w from [0, 1] and one planted entry in the last matrix
+    k = stack or 1
+    w = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d), min_size=k, max_size=k)))
+    w[-1, data.draw(st.integers(0, d - 1))] = planted
+    rng = stream(seed, "planted-spectrum")
+    u = np.linalg.qr(rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))[0]
+    mats = (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
+    clipped = (u * np.maximum(w, 0.0)[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    if stack is None:
+        mats, w, clipped = mats[0], w[0], clipped[0]
+    if planted < -PSD_MIN_EIG_TOL:
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match="not PSD: minimum eigenvalue"):
+                _psd_spectrum(mats, vectors)
+        return
+    values = _psd_spectrum(mats)
+    assert values.shape == w.shape and (values >= 0.0).all()
+    assert np.abs(values - np.sort(np.maximum(w, 0.0), axis=-1)).max() <= 1e-12
+    if planted < 0.0:
+        assert values.reshape(-1, d)[-1, 0] == 0.0
+    values, vecs = _psd_spectrum(mats, vectors=True)
+    rebuilt = (vecs * values[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    assert np.abs(rebuilt - clipped).max() <= 1e-12
+
+
+def test_one_psd_rule_in_the_package():
+    # PSD_MIN_EIG_TOL is read only in _psd_spectrum and _require_contraction,
+    # measures calls the eigensolvers only in trace_distance (which takes a
+    # difference of states, not a PSD operator), and no other clip constant exists
+    readers, solvers = set(), set()
+    for path in Path(definetti.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id == "PSD_MIN_EIG_TOL" and isinstance(node.ctx, ast.Load):
+                    readers.add(owner)
+                if path.name == "measures.py" and isinstance(node, ast.Attribute) and node.attr in ("eigh", "eigvalsh"):
+                    solvers.add(owner)
+                assert not (isinstance(node, ast.Name) and node.id in ("EIG_CLIP_TOL", "CONTRACTION_TOL")), path.name
+    assert readers == {"_psd_spectrum", "_require_contraction"}, readers
+    assert solvers == {"trace_distance"}, solvers

@@ -51,6 +51,7 @@ from definetti.repetition import (
     threshold_operator,
 )
 from definetti.separability import BipartiteCut
+from definetti.suites import conditioning_suite
 from reference import permutation_twirl
 
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -353,6 +354,28 @@ def test_conditioning_rejects_mismatched_factors():
     qubits = induced_mixed_state((2, 2), 16, "q")
     with pytest.raises(ValueError, match="state factors do not match the measurement"):
         recursive_conditioning_demo(SINGLET, qubits, beta, q=2)
+
+
+def test_cmi_chain_rejects_mismatched_inputs():
+    alpha = induced_mixed_state((2, 2), 16, "a")
+    beta = induced_mixed_state((2, 2), 16, "b")
+    with pytest.raises(ValueError, match="state factors do not match the measurement"):
+        cmi_chain_check(SINGLET, alpha, induced_mixed_state((3, 3), 16, "b"), 1)
+    with pytest.raises(ValueError, match="one factor per test"):
+        cmi_chain_check(SINGLET, alpha, induced_mixed_state((2, 2, 2), 16, "b"), 1)
+    for k in (0, 2):
+        with pytest.raises(ValueError, match="1 <= k <= n-1"):
+            cmi_chain_check(SINGLET, alpha, beta, k)
+
+
+def test_greedy_conditioning_breaks_ties_by_the_first_pair():
+    # on the product input every step-1 surrogate is 0; rounding noise of
+    # order 1e-16 must not choose the pair, so each trajectory starts at pair 0
+    _, trajectories = conditioning_suite(seed=0)
+    assert len(trajectories) == 10
+    for traj in trajectories:
+        assert abs(traj.steps[0].surrogate) <= 1e-15
+        assert traj.steps[0].index == 0
 
 
 def test_conditioning_csv_rows():
