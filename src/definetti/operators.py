@@ -44,6 +44,7 @@ __all__ = [
     "qc_dephasing_channel",
     "completely_depolarizing_channel",
     "pauli_twirl_channel",
+    "ginibre",
     "haar_state_vector",
     "induced_mixed_state",
     "symmetric_state_vector",
@@ -467,10 +468,14 @@ def _basis(d: int, i: int) -> np.ndarray:
 # random states
 
 
+def ginibre(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex standard Gaussian array: the real parts drawn first, then the imaginary."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def haar_state_vector(dim: int, seed: int, *labels) -> np.ndarray:
     """Haar-random unit vector (a column of a Haar-random unitary)."""
-    rng = stream(seed, "haar_pure", *labels)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = ginibre(stream(seed, "haar_pure", *labels), dim)
     return v / np.linalg.norm(v)
 
 
@@ -515,7 +520,7 @@ def symmetric_state_vector(n: int, d: int, seed: int, *labels) -> np.ndarray:
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = ginibre(rng, (dim, dim))
     return (g + g.conj().T) / 2.0
 
 

@@ -26,8 +26,10 @@ from .operators import (
     _kraus_sum,
     _occupation_table,
     _require_at_least,
+    as_dims,
     channel_on_factors,
     check_side,
+    ginibre,
     min_eigenvalue,
     partial_trace,
     partial_trace_vector,
@@ -41,6 +43,7 @@ __all__ = [
     "SampledCheck",
     "ClassicalReductionCheck",
     "check_pinching",
+    "check_pinching_stack",
     "constrained_moment",
     "monte_carlo_constrained_moment",
     "check_pure_reduction",
@@ -115,21 +118,32 @@ def check_pinching(ops, rho: DensityMatrix) -> ReductionCheck:
     for m in mats:
         if m.shape != (side, side):
             raise ValueError(f"operator shape {m.shape} does not match state side {side}")
-    r = len(mats)
-    diag = sum(m @ rho.matrix @ m.conj().T for m in mats)
-    total = sum(mats)
-    cross = total @ rho.matrix @ total.conj().T
-    return _operator_check(
-        HermitianOperator(cross, rho.dims), HermitianOperator(r * diag, rho.dims), r, {"r": r, "side": side}
-    )
+    return check_pinching_stack(np.stack(mats)[None], rho.matrix[None], rho.dims)[0]
 
 
-def _operator_check(lhs, rhs, prefactor: int, params: dict, on=None, **extras) -> ReductionCheck:
+def check_pinching_stack(ops: np.ndarray, rhos: np.ndarray, dims) -> list[ReductionCheck]:
+    """:func:`check_pinching` for every instance of a stack, with one
+    ``eigvalsh`` for all the gaps: instance ``k`` has the ``r`` operators
+    ``ops[k]``, of shape ``(r, side, side)``, and the state ``rhos[k]``."""
+    r, dims = ops.shape[1], as_dims(dims)
+    adj = ops.conj().swapaxes(-1, -2)
+    rhs = r * (ops @ rhos[:, None] @ adj).sum(axis=1)
+    cross = ops.sum(axis=1) @ rhos @ adj.sum(axis=1)
+    gaps = np.linalg.eigvalsh(rhs - cross)[:, 0]
+    params = {"r": r, "side": dims.size}
+    return [
+        _operator_check(HermitianOperator(c, dims), HermitianOperator(b, dims), r, dict(params), gap=float(g))
+        for c, b, g in zip(cross, rhs, gaps)
+    ]
+
+
+def _operator_check(lhs, rhs, prefactor: int, params: dict, on=None, gap=None, **extras) -> ReductionCheck:
     """Every operator inequality's verdict: ``rhs - lhs``, or ``on^T (rhs - lhs) on``
     for a real isometry ``on`` onto the subspace where the check is taken, has
-    minimum eigenvalue at least ``-GAP_TOL``."""
-    diff = rhs.matrix - lhs.matrix
-    gap = min_eigenvalue(diff if on is None else on.T @ diff @ on)
+    minimum eigenvalue ``gap`` (given by callers that stack the eigensolve) at least ``-GAP_TOL``."""
+    if gap is None:
+        diff = rhs.matrix - lhs.matrix
+        gap = min_eigenvalue(diff if on is None else on.T @ diff @ on)
     return ReductionCheck(lhs, rhs, gap, prefactor, gap >= -GAP_TOL, params, GAP_TOL, extras)
 
 
@@ -245,8 +259,7 @@ def monte_carlo_constrained_moment(
     done = 0
     while done < samples:
         m = min(chunk, samples - done)
-        rng = stream(seed, "haar_pure", "mc", done)
-        psi = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+        psi = ginibre(stream(seed, "haar_pure", "mc", done), (m, d))
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         block = _vector_powers(psi, n)
         w = np.abs(block @ theta.conj()) ** 2

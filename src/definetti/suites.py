@@ -18,6 +18,7 @@ from . import reductions, repetition, separability
 from .operators import (
     HermitianOperator,
     _require_at_least,
+    ginibre,
     hermitian,
     induced_mixed_state,
     random_contraction,
@@ -70,21 +71,27 @@ def all_passed(records) -> bool:
 
 
 def pinching_suite(seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4):
-    """Random-instance check of the cross-term pinching inequality."""
+    """Random-instance check of the cross-term pinching inequality.
+
+    Instance ``s`` draws ``d``, ``r``, then ``r + 1`` Ginibre matrices from the
+    one stream ``stream(seed, "pinching")``: the ``r`` operators and ``G`` for the
+    Hilbert-Schmidt random state ``G G^dag / ||G||_F^2``.  Each ``(d, r)`` class is one stack."""
+    _require_at_least(1, seeds=seeds, r_max=r_max)
     _require_at_least(2, d_max=d_max)
-    _require_at_least(1, r_max=r_max)
-    out = []
+    rng = stream(seed, "pinching")
+    classes = {}
     for s in range(seeds):
-        rng = stream(seed, "pinching", s)
         d = int(rng.integers(2, d_max + 1))
         r = int(rng.integers(1, r_max + 1))
-        ops = [
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(r)
-        ]
-        rho = induced_mixed_state((d,), seed, "pinching-state", s)
-        res = reductions.check_pinching(ops, rho)
-        out.append(
-            record(
+        classes.setdefault((d, r), []).append((s, ginibre(rng, (r + 1, d, d))))
+    out = [None] * seeds
+    for (d, r), insts in classes.items():
+        index, mats = zip(*insts)
+        mats = np.stack(mats)
+        g = mats[:, r]
+        rhos = g @ g.conj().swapaxes(1, 2) / (abs(g) ** 2).sum(axis=(1, 2))[:, None, None]
+        for s, res in zip(index, reductions.check_pinching_stack(mats[:, :r], rhos, (d,))):
+            out[s] = record(
                 "verify-pinching",
                 "pinching-cross-term-bound",
                 {"d": d, "r": r},
@@ -93,12 +100,12 @@ def pinching_suite(seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int =
                 tolerance=res.tolerance,
                 passed=res.passed,
             )
-        )
     return out
 
 
 def definetti_suite(n: int = 2, d: int = 2, seeds: int = 100, seed: int = 0, mixed: bool = False):
     """Seeded PSD checks of the pure or mixed constrained reduction."""
+    _require_at_least(1, seeds=seeds)
     out = []
     for inst in range(seed, seed + seeds):
         if mixed:
@@ -167,6 +174,7 @@ def classical_suite(d: int = 2, n: int = 3, seed: int = 0):
 
 def truncated_suite(configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: int = 0):
     """Seeded PSD checks of the truncated-ambient reduction."""
+    _require_at_least(1, seeds=seeds)
     out = []
     for (d, big_d, n, k) in configs:
         for inst in range(seed, seed + seeds):

@@ -273,17 +273,18 @@ def test_csv_format(tmp_path):
 
 
 def test_byte_identical_reports(tmp_path):
-    runs = []
-    for name in ("a", "b"):
-        out = tmp_path / f"{name}.json"
-        code = main(["verify-definetti", "--seeds", "4", "--seed", "7", "--out", str(out)])
-        assert code == 0
-        runs.append(out.read_bytes())
-    assert runs[0] == runs[1]
-    # a different seed changes the bytes
-    out = tmp_path / "c.json"
-    main(["verify-definetti", "--seeds", "4", "--seed", "8", "--out", str(out)])
-    assert out.read_bytes() != runs[0]
+    for command in ("verify-definetti", "verify-pinching"):
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.json"
+            code = main([command, "--seeds", "4", "--seed", "7", "--out", str(out)])
+            assert code == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1]
+        # a different seed changes the bytes
+        out = tmp_path / "c.json"
+        main([command, "--seeds", "4", "--seed", "8", "--out", str(out)])
+        assert out.read_bytes() != runs[0]
 
 
 def test_env_seed_default(tmp_path, monkeypatch):
@@ -344,3 +345,12 @@ def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys, monkeypat
     capsys.readouterr()
     assert one_stderr_line(main(["recheck-certificate", str(cert), "--out", out])) == 1
 
+
+@pytest.mark.parametrize("command", ["verify-pinching", "verify-definetti", "verify-truncated"])
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_empty_seed_counts_are_usage_errors(tmp_path, capsys, command, seeds):
+    # an empty run is not a pass: like --d-max 1, it exits 2 with one stderr line
+    out = tmp_path / "report.json"
+    assert main([command, "--seeds", seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"definetti: need seeds >= 1, got {seeds}\n"
+    assert not out.exists()

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from definetti import reductions
+from definetti import reductions, suites
 from definetti.measures import _sqrtm_psd
 from definetti.operators import (
     Dims,
@@ -26,6 +26,7 @@ from definetti.operators import (
     pure_state_density,
     qc_dephasing_channel,
     completely_depolarizing_channel,
+    ginibre,
     set_max_side,
     stream,
     sym_projector,
@@ -40,6 +41,7 @@ from definetti.reductions import (
     check_integrand_domination,
     check_mixed_reduction,
     check_pinching,
+    check_pinching_stack,
     check_pure_reduction,
     check_truncated_ambient_reduction,
     constrained_moment,
@@ -81,6 +83,31 @@ def test_pinching_random_instances():
         rho = induced_mixed_state((4,), 2, s)
         res = check_pinching(ops, rho)
         assert res.passed, (s, res.gap_min_eig)
+
+
+@example(d=3, r=1, k=2, seed=0)
+@given(d=st.integers(1, 4), r=st.integers(1, 4), k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_stacked_pinching_gaps_match_single_checks(d, r, k, seed):
+    ops = ginibre(stream(seed, "pinching-stack"), (k, r, d, d))
+    rhos = [induced_mixed_state((d,), seed, "pinching-stack", j) for j in range(k)]
+    stacked = check_pinching_stack(ops, np.stack([rho.matrix for rho in rhos]), (d,))
+    assert len(stacked) == k
+    for j, got in enumerate(stacked):
+        single = check_pinching(list(ops[j]), rhos[j])
+        scale = np.linalg.norm(single.rhs.matrix)
+        assert abs(got.gap_min_eig - single.gap_min_eig) <= 1e-12 * scale
+        assert got.passed == single.passed and got.prefactor == single.prefactor == r
+        assert got.params == single.params == {"r": r, "side": d}
+        if r == 1:
+            # a single operator makes both sides M rho M^dag: equality
+            assert got.passed and abs(got.gap_min_eig) <= 1e-12 * scale
+
+
+def test_pinching_suite_records_are_a_prefix_of_longer_runs():
+    full = suites.pinching_suite(seeds=40, seed=5)
+    assert [r["seed"] for r in full] == list(range(5, 45))
+    for k in (1, 7, 39):
+        assert suites.pinching_suite(seeds=k, seed=5) == full[:k]
 
 
 def test_constrained_moment_single_copy_closed_form():
@@ -704,14 +731,27 @@ def test_reduction_check_fields():
 
 def test_every_pass_rule_lives_in_the_two_builders():
     # ReductionCheck and SampledCheck are built, and GAP_TOL is read, only in
-    # _operator_check and _sampled_check, so one place decides every margin
+    # _operator_check and _sampled_check, so one place decides every margin;
+    # the suites build no check, read no GAP_TOL, take no eigenvalue, and pass
+    # on each verify-* record the verdict of the check behind it
     builders = {"_operator_check", "_sampled_check"}
-    seen = []
-    for top in ast.parse(Path(reductions.__file__).read_text(encoding="utf-8")).body:
-        owner = top.name if isinstance(top, ast.FunctionDef) else None
-        for node in ast.walk(top):
-            built = isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("ReductionCheck", "SampledCheck")
-            read = isinstance(node, ast.Name) and node.id == "GAP_TOL" and isinstance(node.ctx, ast.Load)
-            if built or read:
-                seen.append(owner)
-    assert set(seen) == builders, seen
+    seen = {reductions: [], suites: []}
+    for module, owners in seen.items():
+        for top in ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                built = isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("ReductionCheck", "SampledCheck")
+                read = name == "GAP_TOL" and isinstance(node.ctx, ast.Load)
+                solved = module is suites and name in ("eigh", "eigvalsh", "min_eigenvalue")
+                decided = (
+                    module is suites
+                    and isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "record"
+                    and str(getattr(node.args[0], "value", "")).startswith("verify-")
+                    and not any(k.arg == "passed" and getattr(k.value, "attr", None) == "passed" for k in node.keywords)
+                )
+                if built or read or solved or decided:
+                    owners.append(owner)
+    assert set(seen[reductions]) == builders, seen[reductions]
+    assert seen[suites] == [], seen[suites]
