@@ -376,6 +376,18 @@ def _occupation_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return label, counts, sizes
 
 
+def _symmetric_draw(rng: np.random.Generator, n: int, d: int, kept=slice(None)) -> np.ndarray:
+    """Haar unit vector on the span of the ``kept`` occupation classes' normalized symmetrized
+    vectors in ``(C^d)^{x n}``: a standard complex Gaussian amplitude per class (real part,
+    then imaginary, class by class), expanded to basis indices."""
+    label, _, sizes = _occupation_table(n, d)
+    z = rng.standard_normal((len(sizes[kept]), 2))
+    amp = np.zeros(len(sizes), dtype=complex)
+    amp[kept] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sizes[kept])
+    vec = amp[label]
+    return vec / np.linalg.norm(vec)
+
+
 def sym_projector(n: int, d: int) -> HermitianOperator:
     """Orthogonal projector ``P_sym`` onto the n-copy symmetric subspace of
     ``C^d``, of rank ``binom(n + d - 1, n)``.
@@ -501,22 +513,10 @@ def _haar_stack(d: int, samples: int, seed: int, *labels, induced: bool = False)
 
 
 def symmetric_state_vector(n: int, d: int, seed: int, *labels) -> np.ndarray:
-    """Haar vector projected onto the symmetric subspace (each entry replaced
-    by its occupation class's mean) and renormalized.
-
-    Retries with an incremented sub-seed if the projection vanishes and
-    fails after 16 attempts.
-    """
+    """Haar-random unit vector of ``Sym^n(C^d)``, drawn in occupation coordinates."""
     _require_at_least(1, n=n, d=d)
     check_side(d**n, "symmetric state vector")
-    label, _, sizes = _occupation_table(n, d)
-    for attempt in range(16):
-        v = haar_state_vector(d**n, seed, "symmetric", attempt, *labels)
-        w = ((np.bincount(label, v.real) + 1j * np.bincount(label, v.imag)) / sizes)[label]
-        norm = np.linalg.norm(w)
-        if norm > 1e-12:
-            return w / norm
-    raise RuntimeError("projection onto the symmetric subspace vanished 16 times")
+    return _symmetric_draw(stream(seed, "symmetric", *labels), n, d)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,6 +26,7 @@ from .operators import (
     _kraus_sum,
     _occupation_table,
     _require_at_least,
+    _symmetric_draw,
     as_dims,
     channel_on_factors,
     check_side,
@@ -422,6 +423,7 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
     ``x`` on the operator's diagonal (which copywise dephasing leaves as is).
     """
     _require_at_least(1, n=n, d=d)
+    check_side((d * d) ** n, "classical purification")
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != d**n:
         raise ValueError(f"weights length {w.size} is not {d}^{n}")
@@ -462,15 +464,8 @@ def truncated_symmetric_state_vector(
 ) -> np.ndarray:
     """Random unit vector symmetric on ``n+k`` copies of ``C^D`` with at
     most ``k`` letters outside the distinguished ``C^d`` subspace."""
-    m = n + k
-    check_side(big_d**m, "truncated symmetric vector")
-    label, _, sizes = _occupation_table(m, big_d)
-    kept = _kept_classes(m, n, d, big_d)
-    z = stream(seed, "truncated", *labels).standard_normal((int(kept.sum()), 2))
-    amp = np.zeros(len(sizes), dtype=complex)
-    amp[kept] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sizes[kept])
-    vec = amp[label]
-    return vec / np.linalg.norm(vec)
+    check_side(big_d ** (n + k), "truncated symmetric vector")
+    return _symmetric_draw(stream(seed, "truncated", *labels), n + k, big_d, _kept_classes(n + k, n, d, big_d))
 
 
 def check_truncated_ambient_reduction(

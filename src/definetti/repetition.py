@@ -719,9 +719,10 @@ def framework_decay_from_fidelity(
     """Translate a fidelity-decay modulus into support-function decay bounds.
 
     Solves ``f(eps) = delta - r eps`` and ``f(eps) = 2 (alpha - r eps)^2`` by
-    bisection (residual 1e-12) and reports the bounds ``(1-g)^n`` and
-    ``exp(-n g')``.  With no root inside the table domain the report is
-    flagged vacuous.  The test operator ``m`` is contextual: when given, its
+    bisection on ``f`` (default ``family.decay_f``; residual 1e-12) over the
+    knots of a :class:`PiecewiseTable`, else over ``(1e-9, 1 - 1e-9)``, and
+    reports the bounds ``(1-g)^n`` and ``exp(-n g')``; with no root the report
+    is flagged vacuous.  The test operator ``m`` is contextual: when given, its
     2-norm is recorded next to the caller's ``r``.
     """
     _check_unit("delta", delta)
@@ -731,19 +732,17 @@ def framework_decay_from_fidelity(
         raise ValueError("need 0 < alpha <= delta")
     if r <= 0:
         raise ValueError("r must be positive")
-    table = f if f is not None else PiecewiseTable.from_function(family.decay_f)
-    if callable(table) and not isinstance(table, PiecewiseTable):
-        table = PiecewiseTable.from_function(table)
-    lo, hi = float(table.xs[0]), float(table.xs[-1])
+    f = family.decay_f if f is None else f
+    lo, hi = (float(f.xs[0]), float(f.xs[-1])) if isinstance(f, PiecewiseTable) else (1e-9, 1.0 - 1e-9)
 
-    root1 = _bisect_root(lambda e: table(e) - (delta - r * e), lo, hi)
+    root1 = _bisect_root(lambda e: f(e) - (delta - r * e), lo, hi)
     # restrict to the decreasing branch of 2 (alpha - r eps)^2 when it is inside
     hi2 = min(hi, alpha / r) if alpha / r > lo else hi
-    root2 = _bisect_root(lambda e: table(e) - 2.0 * (alpha - r * e) ** 2, lo, hi2)
+    root2 = _bisect_root(lambda e: f(e) - 2.0 * (alpha - r * e) ** 2, lo, hi2)
     if root2 is None:
-        root2 = _bisect_root(lambda e: table(e) - 2.0 * (alpha - r * e) ** 2, lo, hi)
-    g = table(root1) if root1 is not None else None
-    gp = table(root2) if root2 is not None else None
+        root2 = _bisect_root(lambda e: f(e) - 2.0 * (alpha - r * e) ** 2, lo, hi)
+    g = float(f(root1)) if root1 is not None else None
+    gp = float(f(root2)) if root2 is not None else None
     vacuous = root1 is None and root2 is None
     return FrameworkDecayReport(
         g=g,
@@ -753,8 +752,8 @@ def framework_decay_from_fidelity(
         bound_power=(1.0 - g) ** n if g is not None else None,
         bound_threshold=math.exp(-n * gp) if gp is not None else None,
         vacuous=vacuous,
-        residual_decay=abs(table(root1) - (delta - r * root1)) if root1 is not None else None,
-        residual_threshold=abs(table(root2) - 2.0 * (alpha - r * root2) ** 2)
+        residual_decay=abs(f(root1) - (delta - r * root1)) if root1 is not None else None,
+        residual_threshold=abs(f(root2) - 2.0 * (alpha - r * root2) ** 2)
         if root2 is not None
         else None,
         params={

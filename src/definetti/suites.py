@@ -8,7 +8,6 @@ serialize deterministically and the command line front end stays thin.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +16,9 @@ import numpy as np
 from . import reductions, repetition, separability
 from .operators import (
     HermitianOperator,
+    _occupation_table,
     _require_at_least,
+    check_side,
     ginibre,
     hermitian,
     induced_mixed_state,
@@ -70,6 +71,12 @@ def all_passed(records) -> bool:
     return all(r["pass"] is not False for r in records)
 
 
+def _check_record(suite: str, anchor: str, params: dict, seed, res, bound=None) -> dict:
+    """The record of a reduction check ``res``: its gap, tolerance and verdict."""
+    return record(suite, anchor, params, seed, gap=res.gap_min_eig, bound=bound, tolerance=res.tolerance,
+                  passed=res.passed)
+
+
 def pinching_suite(seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int = 4):
     """Random-instance check of the cross-term pinching inequality.
 
@@ -91,15 +98,7 @@ def pinching_suite(seeds: int = 100, seed: int = 0, d_max: int = 4, r_max: int =
         g = mats[:, r]
         rhos = g @ g.conj().swapaxes(1, 2) / (abs(g) ** 2).sum(axis=(1, 2))[:, None, None]
         for s, res in zip(index, reductions.check_pinching_stack(mats[:, :r], rhos, (d,))):
-            out[s] = record(
-                "verify-pinching",
-                "pinching-cross-term-bound",
-                {"d": d, "r": r},
-                seed + s,
-                gap=res.gap_min_eig,
-                tolerance=res.tolerance,
-                passed=res.passed,
-            )
+            out[s] = _check_record("verify-pinching", "pinching-cross-term-bound", {"d": d, "r": r}, seed + s, res)
     return out
 
 
@@ -111,45 +110,28 @@ def definetti_suite(n: int = 2, d: int = 2, seeds: int = 100, seed: int = 0, mix
         if mixed:
             res = reductions.check_mixed_reduction(n, d, seed=inst)
             anchor = "mixed-state-constrained-reduction"
-            params = dict(res.params)
-            params["fidelity_domination_min_margin"] = res.extras[
-                "fidelity_domination_min_margin"
-            ]
+            params = {**res.params, "fidelity_domination_min_margin": res.extras["fidelity_domination_min_margin"]}
         else:
             theta = symmetric_state_vector(n, d, inst, "suite")
             res = reductions.check_pure_reduction(theta, n, d)
             anchor = "pure-state-constrained-reduction"
             params = dict(res.params)
-        out.append(
-            record(
-                "verify-definetti",
-                anchor,
-                params,
-                inst,
-                gap=res.gap_min_eig,
-                bound=res.prefactor,
-                tolerance=res.tolerance,
-                passed=res.passed,
-            )
-        )
+        out.append(_check_record("verify-definetti", anchor, params, inst, res, bound=res.prefactor))
     return out
 
 
 def classical_suite(d: int = 2, n: int = 3, seed: int = 0):
     """Pointwise reduction for the three canonical symmetric distributions."""
     _require_at_least(1, n=n, d=d)
+    check_side((d * d) ** n, "classical purification")
     size = d**n
     uniform = np.full(size, 1.0 / size)
     point = np.zeros(size)
     point[0] = 1.0
-    mixed_string = np.zeros(size)
-    base = [0] * (n - 1) + [1 % d if d > 1 else 0]
-    perms = set(itertools.permutations(base))
-    for p in perms:
-        idx = 0
-        for letter in p:
-            idx = idx * d + letter
-        mixed_string[idx] = 1.0 / len(perms)
+    # uniform on the arrangements of 0^(n-1) 1, occupation class 1 (of 0^n, class 0, when d = 1)
+    label, _, sizes = _occupation_table(n, d)
+    c = min(1, d - 1)
+    mixed_string = (label == c) / sizes[c]
     out = []
     for name, dist in (
         ("uniform", uniform),
@@ -179,18 +161,8 @@ def truncated_suite(configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: 
     for (d, big_d, n, k) in configs:
         for inst in range(seed, seed + seeds):
             res = reductions.check_truncated_ambient_reduction(n, k, d, big_d, seed=inst)
-            out.append(
-                record(
-                    "verify-truncated",
-                    "truncated-ambient-reduction",
-                    res.params,
-                    inst,
-                    gap=res.gap_min_eig,
-                    bound=res.prefactor,
-                    tolerance=res.tolerance,
-                    passed=res.passed,
-                )
-            )
+            out.append(_check_record("verify-truncated", "truncated-ambient-reduction", res.params, inst, res,
+                                     bound=res.prefactor))
     return out
 
 
@@ -282,6 +254,9 @@ def _bound_curves(delta, r, alpha=None, h_qext_val=None, q=None, d=None) -> list
     """Every closed-form bound the inputs select, as ``(anchor, params,
     value(n))`` in report order; ``delta``, ``r`` and ``alpha`` are read as
     exact decimals."""
+    if (h_qext_val is None) != (q is None):
+        raise ValueError("the qext-decay bound needs both h_qext_val and q")
+    _require_at_least(1, **{name: v for name, v in (("q", q), ("d", d)) if v is not None})
     delta = float(Fraction(str(delta)))
     r = float(Fraction(str(r)))
     alpha = float(Fraction(str(alpha))) if alpha is not None else delta
@@ -291,10 +266,10 @@ def _bound_curves(delta, r, alpha=None, h_qext_val=None, q=None, d=None) -> list
         ("threshold-concentration-bound", {"alpha": alpha, "r": r},
          lambda n: repetition.bound_threshold(alpha, r, n)),
     ]
-    if h_qext_val is not None and q:
+    if q is not None:
         curves.append(("qext-decay-bound", {"h_qext": h_qext_val, "q": q},
                        lambda n: repetition.bound_qext_power(h_qext_val, q, n)))
-    if d:
+    if d is not None:
         curves.append(("dimension-decay-bound", {"delta": delta, "d": d},
                        lambda n: repetition.bound_sep_dim(delta, d, n)))
         curves.append(("dimension-threshold-bound", {"alpha": alpha, "delta": delta, "d": d},
@@ -349,6 +324,7 @@ def conditioning_suite(
     seed: int = 0,
 ):
     """Random-instance measurement-conditioning trajectories with checks."""
+    _require_at_least(1, instances=instances)
     records = []
     trajectories = []
     for i in range(instances):
@@ -386,12 +362,12 @@ def conditioning_suite(
 
 def framework_suite(seed: int = 0, n_exhaustive: int = 8):
     """Scalar-framework checks: bisection root, tail equality, Hoeffding grid."""
+    _require_at_least(1, n_exhaustive=n_exhaustive)
     records = []
     fam = repetition.projective_power_family(
         [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
     )
-    table = repetition.PiecewiseTable.from_function(lambda e: e * e / 4.0, points=2**17 + 1)
-    rep = repetition.framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=table, n=10)
+    rep = repetition.framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=lambda e: e * e / 4.0, n=10)
     root = 2.0 * (math.sqrt(1.5) - 1.0)
     root_tol = 1e-10
     records.append(

@@ -10,6 +10,7 @@ imports this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,10 +20,12 @@ from definetti.measures import _sqrtm_psd
 from definetti.operators import (
     Dims,
     HermitianOperator,
+    _occupation_table,
     channel_on_factors,
     haar_state_vector,
     induced_mixed_state,
     partial_trace_vector,
+    stream,
     sym_projector,
     symmetric_state_vector,
     tensor_power,
@@ -165,6 +168,60 @@ def b_side_twirl(m: HermitianOperator, q: int) -> HermitianOperator:
     shape = (math.prod(m.dims.factors[:-q]),) + b_dims
     arr = average_permutations(m.matrix.reshape(shape + shape), q, (1, q + 2))
     return HermitianOperator(arr.reshape(m.side, m.side), m.dims)
+
+
+# ---------------------------------------------------------------------------
+# symmetric draws and symmetrized strings, class by class
+
+
+def symmetrized_strings(m: int, d: int):
+    """``(combo, indicator)`` for each multiset ``combo`` of ``m`` letters of
+    ``range(d)`` in ``combinations_with_replacement`` order: the 0/1 vector on
+    ``(C^d)^{x m}`` of the combo's distinct arrangements."""
+    strides = d ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for combo in itertools.combinations_with_replacement(range(d), m):
+        indicator = np.zeros(d**m)
+        for arrangement in set(itertools.permutations(combo)):
+            indicator[int(np.dot(arrangement, strides))] = 1.0
+        yield combo, indicator
+
+
+def permutation_class_vector(rng: np.random.Generator, m: int, d: int, keep=lambda combo: True) -> np.ndarray:
+    """Unit vector built from explicit arrangements: for each combo that
+    ``keep`` accepts, a complex Gaussian amplitude (real part, then imaginary)
+    times the normalized sum of the combo's arrangements."""
+    vec = np.zeros(d**m, dtype=complex)
+    for combo, indicator in symmetrized_strings(m, d):
+        if keep(combo):
+            coeff = rng.standard_normal() + 1j * rng.standard_normal()
+            vec += coeff * indicator / math.sqrt(indicator.sum())
+    return vec / np.linalg.norm(vec)
+
+
+def table_truncated_vector(n: int, k: int, d: int, big_d: int, seed: int, *labels) -> np.ndarray:
+    """The truncated symmetric vector drawn directly from the occupation
+    table: one ``(kept classes, 2)`` normal draw, divided by the root class
+    sizes and expanded through the class labels."""
+    label, counts, sizes = _occupation_table(n + k, big_d)
+    kept = counts[:, :d].sum(axis=1) >= n
+    z = stream(seed, "truncated", *labels).standard_normal((int(kept.sum()), 2))
+    amp = np.zeros(len(sizes), dtype=complex)
+    amp[kept] = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(sizes[kept])
+    vec = amp[label]
+    return vec / np.linalg.norm(vec)
+
+
+def permutation_symmetrized_string(d: int, n: int) -> np.ndarray:
+    """The classical suite's symmetrized-string distribution, uniform on the
+    set of permutations of ``0^(n-1) 1`` (of ``0^n`` when ``d = 1``)."""
+    dist = np.zeros(d**n)
+    perms = set(itertools.permutations([0] * (n - 1) + [1 % d if d > 1 else 0]))
+    for p in perms:
+        idx = 0
+        for letter in p:
+            idx = idx * d + letter
+        dist[idx] = 1.0 / len(perms)
+    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""One op of every benchmark kind, run through its oracle in this process.
+"""One op of every benchmark kind, on the inputs of three bench seeds, run
+through its oracle in this process.
 
 A program change that breaks a call or an oracle in ``bench/workloads.py``
 fails here, in the ordinary test run, and not only in the benchmark.  The
@@ -38,5 +39,6 @@ def _kinds():
 
 @pytest.mark.parametrize("workload, kind", [v for _, v in _kinds()], ids=[k for k, _ in _kinds()])
 def test_bench_kind_passes_its_oracle(workload, kind):
-    inp = kind.prepare(workloads.stream(0, "bench", workload, 0), LIB)
-    kind.check(inp, kind.call(LIB, inp))
+    for seed in (0, 1, 2):
+        inp = kind.prepare(workloads.stream(seed, "bench", workload, 0), LIB)
+        kind.check(inp, kind.call(LIB, inp))

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from definetti import suites
 from definetti.cli import main
-from definetti.operators import hermitian, max_side, set_max_side
+from definetti.operators import ResourceCapError, hermitian, max_side, set_max_side
+from definetti.reductions import check_classical_reduction
 from definetti.separability import _irrep_blocks
 from definetti.serialize import dump_operator
 
@@ -272,18 +274,33 @@ def test_csv_format(tmp_path):
     assert len(lines) == 4
 
 
+def test_classical_cap_fires_before_any_array_is_built(tmp_path, capsys):
+    # the purification of side 4^14 is refused before the suite builds its
+    # strings or the check its vector (a 4 GiB array), not by the moment
+    assert main(["verify-classical", "--n", "14", "--d", "2", "--out", str(tmp_path / "c.json")]) == 3
+    err = capsys.readouterr().err
+    assert err == "definetti: classical purification side 268435456 exceeds the configured cap 4096\n"
+    with pytest.raises(ResourceCapError, match="classical purification side 268435456"):
+        check_classical_reduction(np.full(2**14, 2.0**-14), 2, 14)
+
+
 def test_byte_identical_reports(tmp_path):
-    for command in ("verify-definetti", "verify-pinching"):
+    for command, *size in (
+        ("verify-definetti", "--seeds", "4"),
+        ("verify-pinching", "--seeds", "4"),
+        ("verify-classical",),
+        ("verify-truncated", "--seeds", "2"),
+    ):
         runs = []
         for name in ("a", "b"):
             out = tmp_path / f"{name}.json"
-            code = main([command, "--seeds", "4", "--seed", "7", "--out", str(out)])
+            code = main([command, *size, "--seed", "7", "--out", str(out)])
             assert code == 0
             runs.append(out.read_bytes())
         assert runs[0] == runs[1]
         # a different seed changes the bytes
         out = tmp_path / "c.json"
-        main([command, "--seeds", "4", "--seed", "8", "--out", str(out)])
+        main([command, *size, "--seed", "8", "--out", str(out)])
         assert out.read_bytes() != runs[0]
 
 
@@ -354,3 +371,44 @@ def test_empty_seed_counts_are_usage_errors(tmp_path, capsys, command, seeds):
     assert main([command, "--seeds", seeds, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"definetti: need seeds >= 1, got {seeds}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["conditioning-demo", "--instances", "0"], "instances"),
+        (["conditioning-demo", "--instances", "-2"], "instances"),
+        (["framework", "--n-exhaustive", "0"], "n_exhaustive"),
+        (["framework", "--n-exhaustive", "-1"], "n_exhaustive"),
+    ],
+)
+def test_empty_instance_counts_are_usage_errors(tmp_path, capsys, args, name):
+    # a loop that checks nothing is not a pass
+    out = tmp_path / "report.json"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"definetti: need {name} >= 1, got {args[-1]}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"h_qext_val": 0.6}, "the qext-decay bound needs both h_qext_val and q"),
+        ({"q": 2}, "the qext-decay bound needs both h_qext_val and q"),
+        ({"h_qext_val": 0.6, "q": 0}, "need q >= 1, got 0"),
+        ({"d": 0}, "need d >= 1, got 0"),
+        ({"d": -2, "h_qext_val": 0.6, "q": 2}, "need d >= 1, got -2"),
+    ],
+)
+def test_dropped_repetition_bounds_are_usage_errors(tmp_path, capsys, given, message):
+    # a requested bound is reported or refused, never dropped
+    flags = {"h_qext_val": "--qext-val", "q": "--q", "d": "--d"}
+    out, sweep = tmp_path / "report.json", tmp_path / "sweep.csv"
+    argv = [arg for key, value in given.items() for arg in (flags[key], str(value))]
+    assert main(["repetition-bounds", *argv, "--sweep-out", str(sweep), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"definetti: {message}\n"
+    assert not out.exists() and not sweep.exists()
+    with pytest.raises(ValueError, match=message):
+        suites.repetition_bounds_records(**given)
+    with pytest.raises(ValueError, match=message):
+        suites.bound_sweep_rows(0.5, 1, 3, **given)

@@ -50,10 +50,12 @@ from reference import (
     PermutationSpec,
     b_side_twirl,
     haar_moment_operator,
+    permutation_class_vector,
     permutation_twirl,
     permutation_unitary,
     sym_projector_average,
     sym_rank,
+    symmetrized_strings,
 )
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -344,6 +346,25 @@ def test_symmetric_state_vector_invariance():
     for perm in itertools.permutations(range(3)):
         u = permutation_unitary(PermutationSpec(perm), 2)
         assert np.linalg.norm(u @ theta - theta) <= 1e-10
+
+
+def test_symmetric_state_vector_is_the_class_amplitude_draw():
+    for n, d in ((1, 3), (3, 2), (2, 3), (4, 2), (2, 4)):
+        theta = symmetric_state_vector(n, d, 5, "x", n)
+        assert abs(np.linalg.norm(theta) - 1) < 1e-12
+        arr = theta.reshape((d,) * n)
+        assert all(np.array_equal(arr, np.swapaxes(arr, i, i + 1)) for i in range(n - 1))
+        assert np.array_equal(theta, permutation_class_vector(stream(5, "symmetric", "x", n), n, d))
+
+
+def test_symmetric_state_vector_class_weights_are_uniform():
+    # Haar on Sym^n: each |<S_c|theta>|^2 has mean 1/binom(n+d-1, n)
+    for n, d in ((3, 2), (2, 3)):
+        basis = np.array([s / math.sqrt(s.sum()) for _, s in symmetrized_strings(n, d)])
+        weights = np.array([abs(basis @ symmetric_state_vector(n, d, seed)) ** 2 for seed in range(2000)])
+        assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        stderr = weights.std(axis=0, ddof=1) / math.sqrt(len(weights))
+        assert (abs(weights.mean(axis=0) - 1 / math.comb(n + d - 1, n)) <= 5 * stderr).all()
 
 
 def test_induced_mixed_mean_is_maximally_mixed():

@@ -53,7 +53,10 @@ from reference import (
     loop_fixed_point_margins,
     loop_integrand_margins,
     loop_mixed_margins,
+    permutation_class_vector,
+    permutation_symmetrized_string,
     permutation_twirl,
+    table_truncated_vector,
 )
 
 
@@ -570,6 +573,20 @@ def test_classical_reduction_symmetrized_string():
     assert res.passed
 
 
+@pytest.mark.parametrize("d,n", [(1, 3), (2, 3), (3, 2), (2, 5)])
+def test_classical_suite_string_is_the_permutation_set(monkeypatch, d, n):
+    # the suite reads its symmetrized string off one occupation class; the
+    # permutation set of 0^(n-1) 1 gives the same distribution, bit for bit
+    seen, check = [], reductions.check_classical_reduction
+    monkeypatch.setattr(reductions, "check_classical_reduction", lambda w, d, n: seen.append(w) or check(w, d, n))
+    rec = suites.classical_suite(d=d, n=n)[2]
+    ref = permutation_symmetrized_string(d, n)
+    assert rec["params"]["distribution"] == "symmetrized-string"
+    assert np.array_equal(seen[2], ref)
+    res = check(ref, d, n)
+    assert rec["gap"] == res.min_slack and rec["pass"] is res.passed is True
+
+
 def test_classical_reduction_rejects_asymmetric():
     w = np.zeros(8)
     w[1] = 1.0
@@ -674,20 +691,9 @@ def test_truncated_rhs_matches_dense_projector(d, big_d, n, k):
 
 def permutation_truncated_vector(n, k, d, big_d, seed):
     """The truncated vector built class by class from explicit permutations."""
-    m = n + k
-    rng = stream(seed, "truncated")
-    strides = big_d ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    vec = np.zeros(big_d**m, dtype=complex)
-    for combo in itertools.combinations_with_replacement(range(big_d), m):
-        if sum(1 for j in combo if j < d) < n:
-            continue
-        coeff = rng.standard_normal() + 1j * rng.standard_normal()
-        members = set(itertools.permutations(combo))
-        basis = np.zeros(big_d**m, dtype=complex)
-        for arrangement in members:
-            basis[int(np.dot(arrangement, strides))] = 1.0
-        vec += coeff * basis / math.sqrt(len(members))
-    return vec / np.linalg.norm(vec)
+    return permutation_class_vector(
+        stream(seed, "truncated"), n + k, big_d, lambda combo: sum(j < d for j in combo) >= n
+    )
 
 
 @pytest.mark.parametrize("d,big_d,n,k", [(2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 2), (1, 3, 2, 2)])
@@ -695,6 +701,16 @@ def test_truncated_vector_matches_permutation_construction(d, big_d, n, k):
     for seed in range(6):
         got = truncated_symmetric_state_vector(n, k, d, big_d, seed)
         assert np.array_equal(got, permutation_truncated_vector(n, k, d, big_d, seed))
+
+
+def test_truncated_vector_is_the_table_draw_bit_for_bit():
+    # the shared symmetric sampler draws the truncated vector bit for bit as a direct table draw does
+    grid = [(1, 0, 1, 2), (1, 1, 2, 3), (2, 1, 2, 3), (2, 2, 1, 3), (3, 1, 2, 4), (1, 3, 3, 4), (2, 0, 3, 5)]
+    for n, k, d, big_d in grid:
+        for seed in (0, 1, 7, 123):
+            for labels in ((), ("x", 3)):
+                got = truncated_symmetric_state_vector(n, k, d, big_d, seed, *labels)
+                assert np.array_equal(got, table_truncated_vector(n, k, d, big_d, seed, *labels))
 
 
 def test_truncated_reduction_rejects_asymmetric_theta():
