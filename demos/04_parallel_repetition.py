@@ -17,7 +17,6 @@ from definetti.operators import (
     stream,
 )
 from definetti.repetition import (
-    PiecewiseTable,
     bound_hsep_power,
     bound_qext_power,
     bound_threshold,
@@ -74,8 +73,7 @@ print()
 print("Generic framework: support-function decay from a fidelity modulus")
 print("-----------------------------------------------------------------")
 fam = projective_power_family([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-table = PiecewiseTable.from_function(lambda e: e * e / 4.0)
-rep = framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=table, n=10)
+rep = framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=lambda e: e * e / 4.0, n=10)
 print(f"  bisection root {rep.eps_decay:.12f} "
       f"(closed form {2 * (math.sqrt(1.5) - 1):.12f})")
 print(f"  decay bound (1-g)^10 = {rep.bound_power:.9f}, "

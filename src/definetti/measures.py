@@ -1,4 +1,4 @@
-"""Distance and entropy functionals on states and distributions.
+"""Fidelity and entropy functionals on states and distributions, and finite POVMs.
 
 Fidelity follows the sub-normalized extension ``F(M, N) = ||sqrt(M) sqrt(N)||_1``
 so that every functional also applies to positive operators with trace below
@@ -12,22 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityMatrix, HermitianOperator, _psd_spectrum, partial_trace
+from .operators import DensityMatrix, HermitianOperator, _psd_spectrum, _require_hermitian, partial_trace
 
 __all__ = [
     "Povm",
     "fidelity",
-    "trace_distance",
     "entropy",
     "relative_entropy",
     "mutual_information",
     "conditional_mutual_information",
-    "purify",
     "classical_fidelity",
-    "classical_trace_distance",
     "outcome_distribution",
-    "measured_trace_distance",
-    "measured_fidelity",
 ]
 
 SUPPORT_FLOOR = 1e-12
@@ -59,11 +54,6 @@ def _root_fidelities(inner: np.ndarray) -> np.ndarray:
     """Fidelities of a stack of Hermitian ``sqrt(rho) sigma sqrt(rho)``, by one
     stacked spectrum under the PSD rule of ``_psd_spectrum``."""
     return np.sqrt(_psd_spectrum(inner)).sum(axis=-1)
-
-
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference."""
-    return float(np.abs(np.linalg.eigvalsh(_matrix(rho) - _matrix(sigma))).sum() / 2.0)
 
 
 def entropy(rho) -> float:
@@ -125,25 +115,13 @@ def conditional_mutual_information(rho, a, b, c) -> float:
     return s_ac + s_bc - s_c - s_abc
 
 
-def purify(rho: DensityMatrix) -> np.ndarray:
-    """Unit vector on system x environment reducing to ``rho`` on the system.
-
-    The environment dimension always equals the full system dimension, so the
-    output lives on a doubled space with dims ``rho.dims + rho.dims``.
-    """
-    w, v = _psd_spectrum(rho.matrix, vectors=True)
-    # system index first; environment basis state k holds the k-th largest eigenvalue
-    vec = (v * np.sqrt(w))[:, ::-1].reshape(-1)
-    return vec / np.linalg.norm(vec)
-
-
 # ---------------------------------------------------------------------------
-# POVMs and measured distances
+# POVMs and outcome statistics
 
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Finite POVM: PSD elements summing to the identity."""
+    """Finite POVM: Hermitian PSD elements summing to the identity."""
 
     elements: tuple
     labels: tuple = ()
@@ -156,7 +134,8 @@ class Povm:
         if any(e.shape != (side, side) for e in elems):
             raise ValueError("POVM elements must share one square shape")
         stack = np.array(elems, dtype=complex)
-        _psd_spectrum((stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+        _require_hermitian(stack)
+        _psd_spectrum(stack)
         if np.linalg.norm(stack.sum(axis=0) - np.eye(side)) > 1e-10:
             raise ValueError("POVM elements do not sum to the identity")
         labels = self.labels or tuple(range(len(elems)))
@@ -178,33 +157,7 @@ def classical_fidelity(p, q):
     return float(overlap) if overlap.ndim == 0 else overlap
 
 
-def classical_trace_distance(p, q) -> float:
-    return float(np.abs(np.asarray(p, dtype=float) - np.asarray(q, dtype=float)).sum() / 2.0)
-
-
 def outcome_distribution(povm: Povm, rho) -> np.ndarray:
     mat = _matrix(rho)
     probs = np.array([float(np.trace(e @ mat).real) for e in povm.elements])
     return np.clip(probs, 0.0, None)
-
-
-def measured_trace_distance(rho, sigma, family) -> float:
-    """Largest classical trace distance of outcome statistics over the family."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty POVM family")
-    return max(
-        classical_trace_distance(outcome_distribution(m, rho), outcome_distribution(m, sigma))
-        for m in family
-    )
-
-
-def measured_fidelity(rho, sigma, family) -> float:
-    """Smallest classical fidelity of outcome statistics over the family."""
-    family = list(family)
-    if not family:
-        raise ValueError("empty POVM family")
-    return min(
-        classical_fidelity(outcome_distribution(m, rho), outcome_distribution(m, sigma))
-        for m in family
-    )

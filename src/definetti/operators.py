@@ -186,15 +186,23 @@ class HermitianOperator:
 
 
 def hermitian(matrix, dims) -> HermitianOperator:
-    """Checked entry point for outside data: copies ``matrix`` and requires
-    ``||A - A^dag||_F <= HERMITICITY_ATOL + HERMITICITY_RTOL ||A||_F``."""
+    """Checked entry point for outside data: copies ``matrix`` and holds it to
+    :func:`_require_hermitian`."""
     op = HermitianOperator(np.array(matrix, dtype=np.complex128, order="C"), dims)
-    mat = op.matrix
-    defect = np.linalg.norm(mat - mat.conj().T)
-    tol = HERMITICITY_ATOL + HERMITICITY_RTOL * np.linalg.norm(mat)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e} > tol {tol:.3e}")
+    _require_hermitian(op.matrix)
     return op
+
+
+def _require_hermitian(mat: np.ndarray) -> None:
+    """The Hermiticity rule for a matrix or a stack of them: finite entries and
+    ``||A - A^dag||_F <= HERMITICITY_ATOL + HERMITICITY_RTOL ||A||_F`` each."""
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix has a non-finite entry")
+    defect = np.linalg.norm(mat - mat.conj().swapaxes(-1, -2), axis=(-2, -1)).reshape(-1)
+    tol = HERMITICITY_ATOL + HERMITICITY_RTOL * np.linalg.norm(mat, axis=(-2, -1)).reshape(-1)
+    worst = int(np.argmax(defect - tol))
+    if defect[worst] > tol[worst]:
+        raise ValueError(f"matrix is not Hermitian: defect {defect[worst]:.3e} > tol {tol[worst]:.3e}")
 
 
 def identity_operator(dims) -> HermitianOperator:

@@ -264,10 +264,15 @@ def monte_carlo_constrained_moment(
         psi /= np.linalg.norm(psi, axis=1, keepdims=True)
         block = _vector_powers(psi, n)
         w = np.abs(block @ theta.conj()) ** 2
-        prod = (block * w[:, None])[:, :, None] * block.conj()[:, None, :]
-        mean += prod.sum(axis=0)
-        sq_re += (prod.real**2).sum(axis=0)
-        sq_im += (prod.imag**2).sum(axis=0)
+        # sample s adds x x^dag with x = sqrt(w_s) b_s = R + iI: real part
+        # R_i R_j + I_i I_j, imaginary part I_i R_j - R_i I_j, so the sums of
+        # their squares are Gram products of R^2, I^2 and RI, with no m x d^n x d^n array
+        x = block * np.sqrt(w)[:, None]
+        mean += x.T @ x.conj()
+        r2, i2, ri = x.real**2, x.imag**2, x.real * x.imag
+        cross = 2.0 * (ri.T @ ri)
+        sq_re += r2.T @ r2 + i2.T @ i2 + cross
+        sq_im += i2.T @ r2 + r2.T @ i2 - cross
         done += m
     mean /= samples
     var_re = sq_re / samples - mean.real**2

@@ -57,8 +57,6 @@ __all__ = [
     "recursive_conditioning_demo",
     "ConstraintFamily",
     "projective_power_family",
-    "separable_family",
-    "PiecewiseTable",
     "FrameworkDecayReport",
     "framework_decay_from_fidelity",
     "FrameworkFidelityReport",
@@ -577,17 +575,15 @@ def recursive_conditioning_demo(
 @dataclass(frozen=True, eq=False)
 class ConstraintFamily:
     """Convex constraint sets ``K^(n)``, stable under permutation and partial
-    trace, generated by atoms (finite list) or by oracles (separable set)."""
+    trace, generated by a finite list of atoms."""
 
     name: str
-    atoms: tuple | None
+    atoms: tuple
     support: object
     decay_f: object
     threshold_decay: object
 
     def product_atoms(self, n: int):
-        if self.atoms is None:
-            raise ValueError(f"family {self.name!r} has no finite atom list")
         for combo in itertools.product(self.atoms, repeat=n):
             block = combo[0]
             for a in combo[1:]:
@@ -624,57 +620,6 @@ def projective_power_family(atoms, name: str = "projective-power") -> Constraint
         decay_f=lambda eps: eps**2 / 4.0,
         threshold_decay=lambda alpha: 2.0 * alpha**2,
     )
-
-
-def separable_family(dims, cut: BipartiteCut, seed: int = 0, name: str = "separable") -> ConstraintFamily:
-    """Separable states across ``cut``; the support oracle is the seesaw."""
-    from .separability import hsep_seesaw
-    from .operators import as_dims, hermitian
-
-    dims = as_dims(dims)
-    da = math.prod(dims[i] for i in cut.a_factors)
-    db = math.prod(dims[i] for i in cut.b_factors)
-    d_loc = max(da, db)
-
-    def support(m: np.ndarray) -> float:
-        return hsep_seesaw(hermitian(m, dims), cut, seed=seed).value
-
-    return ConstraintFamily(
-        name=name,
-        atoms=None,
-        support=support,
-        decay_f=lambda eps: eps**2 / 4.0,
-        threshold_decay=lambda alpha: alpha**2 / (5.0 * d_loc * d_loc),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PiecewiseTable:
-    """Monotone piecewise-linear function table on a subinterval of (0, 1)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-            raise ValueError("need matching 1-d tables with at least two knots")
-        if (np.diff(xs) <= 0).any():
-            raise ValueError("x knots must increase")
-        if (np.diff(ys) < -1e-15).any():
-            raise ValueError("table must be non-decreasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    @classmethod
-    def from_function(cls, f, points: int = 2**15 + 1, lo: float = 1e-9, hi: float = 1.0 - 1e-9):
-        xs = np.linspace(lo, hi, points)
-        ys = np.array([float(f(x)) for x in xs])
-        return cls(xs, ys)
-
-    def __call__(self, x: float) -> float:
-        return float(np.interp(x, self.xs, self.ys))
 
 
 def _bisect_root(g, lo: float, hi: float, tol: float = 1e-12, iters: int = 200):
@@ -719,11 +664,11 @@ def framework_decay_from_fidelity(
     """Translate a fidelity-decay modulus into support-function decay bounds.
 
     Solves ``f(eps) = delta - r eps`` and ``f(eps) = 2 (alpha - r eps)^2`` by
-    bisection on ``f`` (default ``family.decay_f``; residual 1e-12) over the
-    knots of a :class:`PiecewiseTable`, else over ``(1e-9, 1 - 1e-9)``, and
-    reports the bounds ``(1-g)^n`` and ``exp(-n g')``; with no root the report
-    is flagged vacuous.  The test operator ``m`` is contextual: when given, its
-    2-norm is recorded next to the caller's ``r``.
+    bisection on ``f`` (default ``family.decay_f``; residual 1e-12) over
+    ``(1e-9, 1 - 1e-9)``, and reports the bounds ``(1-g)^n`` and
+    ``exp(-n g')``; with no root the report is flagged vacuous.  The test
+    operator ``m`` is contextual: when given, its 2-norm is recorded next to
+    the caller's ``r``.
     """
     _check_unit("delta", delta)
     if alpha is None:
@@ -733,7 +678,7 @@ def framework_decay_from_fidelity(
     if r <= 0:
         raise ValueError("r must be positive")
     f = family.decay_f if f is None else f
-    lo, hi = (float(f.xs[0]), float(f.xs[-1])) if isinstance(f, PiecewiseTable) else (1e-9, 1.0 - 1e-9)
+    lo, hi = 1e-9, 1.0 - 1e-9
 
     root1 = _bisect_root(lambda e: f(e) - (delta - r * e), lo, hi)
     # restrict to the decreasing branch of 2 (alpha - r eps)^2 when it is inside
@@ -815,8 +760,6 @@ def hull_threshold_tails(family: ConstraintFamily, m: HermitianOperator, n: int)
     Poisson binomial, and the tail only depends on the multiset of per-slot
     probabilities, so enumerating probability multisets is exhaustive.
     """
-    if family.atoms is None:
-        raise ValueError("needs a finite-atom family")
     ps = sorted({Fraction(float(np.real(np.trace(m.matrix @ a)))) for a in family.atoms})
     best = [Fraction(0)] * (n + 1)
     for combo in itertools.combinations_with_replacement(ps, n):
@@ -863,8 +806,6 @@ def framework_fidelity_from_decay(
     verifies ``F(rho^n, K^(n)) <= exp(-n (eps-alpha)^2) + exp(-n f(alpha)/2)``
     with both test error probabilities evaluated as exact binomial tails.
     """
-    if family.atoms is None:
-        raise ValueError("needs a finite-atom family")
     closest = _closest_hull_trace_norm(rho.matrix, family.atoms)
     diff = rho.matrix - closest
     w, v = np.linalg.eigh(diff)

@@ -908,7 +908,7 @@ def recheck_certificate(obj: dict) -> tuple[float, float, bool]:
     simplex, or atoms that are not unit vectors of the cut's local sides
     (a scaled atom would certify values no product state attains).
     """
-    from .serialize import operator_from_json
+    from .serialize import _complex_array, operator_from_json
 
     kind = obj["kind"]
     op = operator_from_json(obj["operator"])
@@ -916,15 +916,15 @@ def recheck_certificate(obj: dict) -> tuple[float, float, bool]:
     matrix, da, db = _regroup(op, cut)
     atoms = []
     for rec in obj["atoms"]:
-        a = np.asarray(rec["a_re"], dtype=float) + 1j * np.asarray(rec["a_im"], dtype=float)
-        b = np.asarray(rec["b_re"], dtype=float) + 1j * np.asarray(rec["b_im"], dtype=float)
+        a, b = _complex_array(rec["a_re"], rec["a_im"]), _complex_array(rec["b_re"], rec["b_im"])
         if a.shape != (da,) or b.shape != (db,):
             raise ValueError(f"malformed certificate atom: sizes {a.size}, {b.size} for cut sides {da}, {db}")
-        if abs(np.vdot(a, a).real - 1.0) > 1e-9 or abs(np.vdot(b, b).real - 1.0) > 1e-9:
+        # each test is written so that a NaN or infinite entry fails it
+        if not (abs(np.vdot(a, a).real - 1.0) <= 1e-9 and abs(np.vdot(b, b).real - 1.0) <= 1e-9):
             raise ValueError("malformed certificate atom: not a unit vector")
         atoms.append((a, b))
     weights = np.asarray(obj["weights"], dtype=float)
-    if weights.size != len(atoms) or (weights < -1e-12).any() or abs(weights.sum() - 1.0) > 1e-9:
+    if weights.size != len(atoms) or not ((weights >= -1e-12).all() and abs(weights.sum() - 1.0) <= 1e-9):
         raise ValueError("malformed certificate weights")
     mix = sum(w * _atom_matrix(a, b) for w, (a, b) in zip(weights, atoms))
     if kind == "hsep_seesaw":

@@ -29,13 +29,21 @@ def operator_to_json(op: HermitianOperator) -> dict:
     }
 
 
-def operator_from_json(obj: dict) -> HermitianOperator:
-    dims = Dims(tuple(obj["dims"]))
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+def _complex_array(re, im) -> np.ndarray:
+    """``re + i im`` from two JSON blocks of one shape, set part by part:
+    ``re + 1j * im`` would broadcast a short block, and warn on an infinite
+    imaginary part before the caller rejects it."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if re.shape != im.shape:
         raise ValueError("re and im blocks have different shapes")
-    return hermitian(re + 1j * im, dims)
+    out = re.astype(complex)
+    out.imag = im
+    return out
+
+
+def operator_from_json(obj: dict) -> HermitianOperator:
+    dims = Dims(tuple(obj["dims"]))
+    return hermitian(_complex_array(obj["re"], obj["im"]), dims)
 
 
 def dump_operator(op: HermitianOperator, path) -> None:

@@ -3,13 +3,14 @@
 The package builds ``P_sym`` and ``Sym^n`` from the occupation-class table
 and evaluates fidelities in stacked ``eigvalsh`` calls.  The constructions
 here take the other road: dense permutation unitaries, exact averages over
-the symmetric group, one ``eigh`` per fidelity, and purifications and
-relative entropies summed one eigenvector at a time.  The package never
-imports this module.
+the symmetric group, one ``eigh`` per fidelity, relative entropies summed
+one eigenvector at a time and Monte-Carlo moments from per-sample outer
+products.  The package never imports this module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from definetti.operators import (
     HermitianOperator,
     _occupation_table,
     channel_on_factors,
+    ginibre,
     haar_state_vector,
     induced_mixed_state,
     partial_trace_vector,
@@ -285,7 +287,7 @@ def loop_fixed_point_margins(rho, ch, samples: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# purification and relative entropy one eigenvector at a time
+# trace distance, relative entropy and the Monte-Carlo moment by the long road
 
 
 def _clipped_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,17 +295,30 @@ def _clipped_eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(w, 0.0, None), v
 
 
-def loop_purify(rho) -> np.ndarray:
-    """``sum_k sqrt(w_k) v_k (x) e_k`` over the eigenpairs, largest first."""
-    w, v = _clipped_eigh(rho.matrix)
-    d = rho.dims.size
-    vec = np.zeros(d * d, dtype=complex)
-    for rank, i in enumerate(range(d - 1, -1, -1)):
-        if w[i] > 0:
-            env = np.zeros(d, dtype=complex)
-            env[rank] = 1.0
-            vec += math.sqrt(w[i]) * np.kron(v[:, i], env)
-    return vec / np.linalg.norm(vec)
+def trace_distance(rho, sigma) -> float:
+    """Half the trace norm of the difference of two states, by one ``eigvalsh``."""
+    return float(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)).sum() / 2.0)
+
+
+def outer_product_monte_carlo(theta, n: int, d: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(mean, stderr)`` of the Monte-Carlo constrained moment, from the same
+    chunked draws as the package but summed over the ``(m, d^n, d^n)`` stack
+    of per-sample outer products, with tensor powers by ``np.kron``."""
+    theta = np.asarray(theta, dtype=complex).reshape(-1)
+    mean = np.zeros((d**n, d**n), dtype=complex)
+    sq_re, sq_im = np.zeros(mean.shape), np.zeros(mean.shape)
+    for done in range(0, samples, 2048):
+        psi = ginibre(stream(seed, "haar_pure", "mc", done), (min(2048, samples - done), d))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        block = np.stack([functools.reduce(np.kron, [p] * n) for p in psi])
+        w = np.abs(block @ theta.conj()) ** 2
+        prod = (block * w[:, None])[:, :, None] * block.conj()[:, None, :]
+        mean += prod.sum(axis=0)
+        sq_re += (prod.real**2).sum(axis=0)
+        sq_im += (prod.imag**2).sum(axis=0)
+    mean /= samples
+    var = np.clip(sq_re / samples - mean.real**2, 0, None) + np.clip(sq_im / samples - mean.imag**2, 0, None)
+    return mean, np.sqrt(var) / math.sqrt(samples)
 
 
 def outer_product_relative_entropy(rho: np.ndarray, sigma: np.ndarray, floor: float = 1e-12) -> float:

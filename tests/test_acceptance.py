@@ -30,7 +30,6 @@ from definetti.reductions import (
     monte_carlo_constrained_moment,
 )
 from definetti.repetition import (
-    PiecewiseTable,
     binomial_tail,
     bound_hsep_power,
     bound_qext_power,
@@ -293,8 +292,7 @@ def test_criterion_13_conditioning_demo():
 
 def test_criterion_14_framework_roundtrip():
     fam = projective_power_family([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    table = PiecewiseTable.from_function(lambda e: e * e / 4.0, points=2**17 + 1)
-    rep = framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=table, n=10)
+    rep = framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=lambda e: e * e / 4.0, n=10)
     root = 2.0 * (math.sqrt(1.5) - 1.0)
     ok = abs(rep.eps_decay - root) <= 1e-10
     witness = hermitian(np.full((2, 2), 0.5), (2,))

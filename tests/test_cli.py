@@ -363,6 +363,48 @@ def test_usage_and_resource_exit_codes(tmp_path, singlet_file, capsys, monkeypat
     assert one_stderr_line(main(["recheck-certificate", str(cert), "--out", out])) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_operators_and_certificates_are_usage_errors(tmp_path, singlet_file, capsys, bad):
+    # json writes these as NaN and Infinity, which a norm or unit-vector test
+    # alone lets through: nan > tol is false
+    def one_stderr_line(code):
+        err = capsys.readouterr().err
+        assert err.startswith("definetti: ") and err.count("\n") == 1, err
+        return code
+
+    out = str(tmp_path / "r.json")
+    op = tmp_path / "bad.json"
+    op.write_text(json.dumps({"dims": [2], "re": [[1.0, 0.0], [0.0, bad]], "im": [[0.0, 0.0], [0.0, 0.0]]}))
+    assert one_stderr_line(main(["hsep", "--op", str(op), "--out", out])) == 2
+    cert = tmp_path / "cert.json"
+    assert main(["hsep", "--op", singlet_file, "--restarts", "4", "--certificate-out", str(cert), "--out", out]) == 0
+    capsys.readouterr()
+    obj = json.loads(cert.read_text())
+    # one entry of the operator, of each atom vector and of the weights in turn
+    for row in (obj["operator"]["im"][1], obj["atoms"][0]["a_re"], obj["atoms"][0]["b_im"], obj["weights"]):
+        row[0], kept = bad, row[0]
+        cert.write_text(json.dumps(obj))
+        assert one_stderr_line(main(["recheck-certificate", str(cert), "--out", out])) == 2
+        row[0] = kept
+
+
+def test_re_and_im_blocks_of_different_shapes_are_usage_errors(tmp_path, singlet_file, capsys):
+    # re + 1j * im would broadcast a one-entry imaginary block over a whole atom
+    out = str(tmp_path / "r.json")
+    op = tmp_path / "short.json"
+    op.write_text(json.dumps({"dims": [2], "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0]]}))
+    cert = tmp_path / "cert.json"
+    assert main(["hsep", "--op", singlet_file, "--restarts", "4", "--certificate-out", str(cert), "--out", out]) == 0
+    obj = json.loads(cert.read_text())
+    for atom in obj["atoms"]:
+        atom.update(a_re=[1.0, 0.0], a_im=[0.0], b_re=[0.0, 1.0], b_im=[0.0])
+    cert.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (["hsep", "--op", str(op)], ["recheck-certificate", str(cert)]):
+        assert main([*argv, "--out", out]) == 2
+        assert "re and im blocks have different shapes" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["verify-pinching", "verify-definetti", "verify-truncated"])
 @pytest.mark.parametrize("seeds", ["0", "-3"])
 def test_empty_seed_counts_are_usage_errors(tmp_path, capsys, command, seeds):

@@ -9,17 +9,12 @@ from definetti.measures import (
     _root_fidelities,
     _sqrtm_psd,
     classical_fidelity,
-    classical_trace_distance,
     conditional_mutual_information,
     entropy,
     fidelity,
-    measured_fidelity,
-    measured_trace_distance,
     mutual_information,
     outcome_distribution,
-    purify,
     relative_entropy,
-    trace_distance,
 )
 from definetti.operators import (
     apply_channel,
@@ -28,12 +23,12 @@ from definetti.operators import (
     hermitian,
     induced_mixed_state,
     partial_trace,
-    partial_trace_vector,
     pure_state_density,
     qc_dephasing_channel,
     tensor,
 )
-from reference import fidelity_from_root, loop_purify, outer_product_relative_entropy
+from definetti.separability import pauli_tomography_povm, product_povm
+from reference import fidelity_from_root, outer_product_relative_entropy, trace_distance
 
 Z0 = pure_state_density([1, 0], (2,))
 Z1 = pure_state_density([0, 1], (2,))
@@ -54,11 +49,6 @@ def test_fidelity_subnormalized():
     half = np.diag([0.25, 0.25])
     # F(M, M) = Tr M for positive operators
     assert abs(fidelity(half, half) - 0.5) < 1e-12
-
-
-def test_trace_distance():
-    assert trace_distance(Z0, Z0) < 1e-14
-    assert abs(trace_distance(Z0, Z1) - 1) < 1e-14
 
 
 def test_fuchs_van_de_graaf():
@@ -163,30 +153,6 @@ def test_fidelity_monotone_under_channels():
         assert fidelity(apply_channel(ch, r), apply_channel(ch, s)) >= fidelity(r, s) - 1e-9
 
 
-def test_purify():
-    v = purify(Z0)
-    assert_allclose(np.outer(v, v.conj())[:4, :4][0, 0], 1.0)
-    v = purify(density(np.eye(2) / 2, (2,)))
-    red = partial_trace_vector(v, (2, 2), [0])
-    assert_allclose(red.matrix, np.eye(2) / 2, atol=1e-12)
-    # maximally entangled output for the maximally mixed input
-    sv = np.linalg.svd(v.reshape(2, 2), compute_uv=False)
-    assert_allclose(sv, [1 / math.sqrt(2)] * 2, atol=1e-12)
-    for i in range(10):
-        r = induced_mixed_state((2, 2), 10, i)
-        v = purify(r)
-        red = partial_trace_vector(v, (4, 4), [0])
-        assert np.linalg.norm(red.matrix - r.matrix) <= 1e-10
-
-
-def test_purify_matches_the_eigenvector_loop():
-    states = [Z0, PLUS, BELL, density(np.eye(2) / 2, (2,)), density(np.diag([0.5, 0.5, 0.0]), (3,))]
-    states += [induced_mixed_state((2,) * (1 + i % 3), 13, i) for i in range(10)]
-    states += [density(_low_rank(2, i, "purify"), (2, 2)) for i in range(3)]
-    for rho in states:
-        assert np.array_equal(purify(rho), loop_purify(rho))
-
-
 def test_povm_validation():
     with pytest.raises(ValueError):
         Povm((np.diag([1.0, 0.0]),))
@@ -204,6 +170,16 @@ def test_povm_rejects_a_non_psd_last_element():
     with pytest.raises(ValueError, match="not PSD"):
         Povm(elements)
     Povm(elements[:2] + (np.diag([0.25, 0.25]),))
+
+
+def test_povm_rejects_non_hermitian_elements():
+    # PSD after symmetrization and summing to the identity, but Tr(E rho) would be complex
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Povm(([[1, 0.1], [-0.1, 0]], [[0, -0.1], [0.1, 1]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        Povm((np.diag([1.0, np.nan]), np.diag([0.0, 1.0])))
+    pauli = pauli_tomography_povm()
+    assert product_povm(pauli, pauli).side == 4
 
 
 def test_root_fidelities_match_one_at_a_time_and_reject_a_non_psd_last_row():
@@ -231,8 +207,8 @@ def test_classical_fidelity_over_a_stack():
 
 def test_measured_distances_trivial_povm():
     triv = Povm((np.eye(2),))
-    assert measured_trace_distance(Z0, PLUS, [triv]) < 1e-12
-    assert abs(measured_fidelity(Z0, PLUS, [triv]) - 1) < 1e-12
+    assert_allclose(outcome_distribution(triv, Z0), [1.0], atol=1e-12)
+    assert abs(classical_fidelity(outcome_distribution(triv, Z0), outcome_distribution(triv, PLUS)) - 1) < 1e-12
 
 
 def test_measured_fidelity_dominates_fidelity():
@@ -240,8 +216,8 @@ def test_measured_fidelity_dominates_fidelity():
     for i in range(100):
         r = induced_mixed_state((2,), 11, i, "r")
         s = induced_mixed_state((2,), 11, i, "s")
-        assert measured_fidelity(r, s, [comp]) >= fidelity(r, s) - 1e-9
-        assert measured_trace_distance(r, s, [comp]) <= trace_distance(r, s) + 1e-9
+        measured = classical_fidelity(outcome_distribution(comp, r), outcome_distribution(comp, s))
+        assert measured >= fidelity(r, s) - 1e-9
 
 
 def test_measured_matches_bhattacharyya_on_diagonals():
@@ -249,17 +225,12 @@ def test_measured_matches_bhattacharyya_on_diagonals():
     da = density(np.diag([0.3, 0.7]), (2,))
     db = density(np.diag([0.6, 0.4]), (2,))
     expect = math.sqrt(0.3 * 0.6) + math.sqrt(0.7 * 0.4)
-    assert abs(measured_fidelity(da, db, [comp]) - expect) < 1e-12
     assert abs(classical_fidelity(outcome_distribution(comp, da), outcome_distribution(comp, db)) - expect) < 1e-12
-    assert abs(classical_trace_distance([0.3, 0.7], [0.6, 0.4]) - 0.3) < 1e-12
 
 
 def test_measured_family_sup_inf():
     comp = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     hado = Povm((PLUS.matrix, np.eye(2) - PLUS.matrix))
-    fam = [comp, hado]
-    assert abs(measured_trace_distance(Z0, Z1, fam) - 1) < 1e-12
+    assert classical_fidelity(outcome_distribution(comp, Z0), outcome_distribution(comp, Z1)) < 1e-12
     # the Hadamard basis cannot distinguish |0> from |1>
-    assert measured_trace_distance(Z0, Z1, [hado]) < 1e-12
-    with pytest.raises(ValueError):
-        measured_fidelity(Z0, Z1, [])
+    assert_allclose(outcome_distribution(hado, Z0), outcome_distribution(hado, Z1), atol=1e-12)

@@ -518,6 +518,17 @@ def test_twirls_and_moment_return_hermitian_operators(n, d, seed):
     _assert_hermitian(constrained_moment(symmetric_state_vector(n, d, seed), n, d))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_hermitian_rejects_non_finite_entries(bad):
+    # nan > tol is false, so the norm test alone would let these through
+    mat = np.eye(2, dtype=complex)
+    mat[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian(mat, (2,))
+    with pytest.raises(ValueError, match="non-finite"):
+        density(mat, (2,))
+
+
 def test_hermitian_copies_and_freezes():
     a = random_hermitian(4, stream(12, "copy"))
     op = hermitian(a, (2, 2))
@@ -662,8 +673,7 @@ def test_psd_spectrum_on_planted_spectra(d, stack, planted, seed, data):
 
 def test_one_psd_rule_in_the_package():
     # PSD_MIN_EIG_TOL is read only in _psd_spectrum and _require_contraction,
-    # measures calls the eigensolvers only in trace_distance (which takes a
-    # difference of states, not a PSD operator), and no other clip constant exists
+    # measures calls no eigensolver of its own, and no other clip constant exists
     readers, solvers = set(), set()
     for path in Path(definetti.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -675,4 +685,4 @@ def test_one_psd_rule_in_the_package():
                     solvers.add(owner)
                 assert not (isinstance(node, ast.Name) and node.id in ("EIG_CLIP_TOL", "CONTRACTION_TOL")), path.name
     assert readers == {"_psd_spectrum", "_require_contraction"}, readers
-    assert solvers == {"trace_distance"}, solvers
+    assert solvers == set(), solvers

@@ -53,6 +53,7 @@ from reference import (
     loop_fixed_point_margins,
     loop_integrand_margins,
     loop_mixed_margins,
+    outer_product_monte_carlo,
     permutation_class_vector,
     permutation_symmetrized_string,
     permutation_twirl,
@@ -273,6 +274,30 @@ def test_monte_carlo_crosses_a_chunk_boundary():
     again, stderr_again = monte_carlo_constrained_moment(theta, 2, 2, samples=2049, seed=19)
     assert np.array_equal(mean, again) and np.array_equal(stderr, stderr_again)
     assert (np.abs(mean - exact) <= 5 * stderr + 1e-12).all()
+
+
+@pytest.mark.parametrize(
+    "n,d,samples,seed", [(2, 2, 2049, 19), (1, 3, 100, 1), (1, 5, 4097, 3), (3, 2, 2048, 4), (3, 3, 700, 8), (6, 2, 300, 2)]
+)
+def test_monte_carlo_gram_sums_match_the_outer_products(n, d, samples, seed):
+    # same draws and chunks; only the order of the sums differs
+    theta = symmetric_state_vector(n, d, seed)
+    mean, stderr = monte_carlo_constrained_moment(theta, n, d, samples=samples, seed=seed)
+    ref_mean, ref_stderr = outer_product_monte_carlo(theta, n, d, samples, seed)
+    assert np.abs(mean - ref_mean).max() <= 1e-14
+    assert np.abs(stderr - ref_stderr).max() <= 1e-13 * ref_stderr.max()
+
+
+def test_monte_carlo_peak_memory_stays_small():
+    # one 2048-sample chunk of per-sample outer products at side 64 would take 262 MB
+    theta = symmetric_state_vector(6, 2, 1)
+    tracemalloc.start()
+    try:
+        monte_carlo_constrained_moment(theta, 6, 2, samples=4096, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 def test_monte_carlo_moment_rejects_no_samples():

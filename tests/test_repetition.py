@@ -29,7 +29,6 @@ from definetti.repetition import (
     RECURSION_TOL,
     _closest_hull_trace_norm,
     _local_test,
-    PiecewiseTable,
     binomial_tail,
     bound_hsep_power,
     bound_qext_power,
@@ -47,7 +46,6 @@ from definetti.repetition import (
     sample_admissible_sequence,
     scalar_recursion_bound,
     scalar_recursion_corollary,
-    separable_family,
     threshold_operator,
 )
 from definetti.separability import BipartiteCut
@@ -165,8 +163,6 @@ def test_outside_measurements_rejected():
     beta = induced_mixed_state((2, 2), 4, "b")
     with pytest.raises(ValueError, match="0 <= M <= 1"):
         cmi_chain_check(hermitian(2.0 * np.eye(4), (2, 2)), alpha, beta, 1)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        separable_family((2, 2), CUT).support(np.triu(np.ones((4, 4))))
 
 
 # -- CMI chain ----------------------------------------------------------------
@@ -410,8 +406,7 @@ def test_two_copy_certified_uppers_shrink():
 
 def test_decay_root_closed_form():
     fam = projective_power_family([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    table = PiecewiseTable.from_function(lambda e: e * e / 4.0, points=2**17 + 1)
-    rep = framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=table, n=10)
+    rep = framework_decay_from_fidelity(fam, None, r=1.0, delta=0.5, f=lambda e: e * e / 4.0, n=10)
     root = 2.0 * (math.sqrt(1.5) - 1.0)
     assert abs(rep.eps_decay - root) < 1e-10
     assert abs(rep.g - (0.5 - rep.eps_decay)) < 1e-11
@@ -423,18 +418,8 @@ def test_decay_root_closed_form():
 
 def test_decay_vacuous_when_no_root():
     fam = projective_power_family([np.diag([1.0, 0.0])])
-    tiny = PiecewiseTable.from_function(lambda e: 1e-12)
-    rep = framework_decay_from_fidelity(fam, None, r=0.3, delta=0.5, f=tiny, n=5)
+    rep = framework_decay_from_fidelity(fam, None, r=0.3, delta=0.5, f=lambda e: 1e-12, n=5)
     assert rep.vacuous
-
-
-def test_separable_family_decay_instance():
-    fam = separable_family((2, 2), CUT)
-    assert abs(fam.decay_f(0.3) - 0.09 / 4) < 1e-15
-    rep = framework_decay_from_fidelity(fam, SINGLET, r=1.0, delta=0.5, n=3)
-    assert not rep.vacuous
-    root = 2.0 * (math.sqrt(1.5) - 1.0)
-    assert abs(rep.eps_decay - root) < 1e-8
 
 
 def test_family_stability_on_products():
