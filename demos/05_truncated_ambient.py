@@ -10,10 +10,12 @@ import numpy as np
 
 from definetti.operators import symmetric_state_vector
 from definetti.reductions import (
+    _sym_isometry,
     check_pure_reduction,
     check_truncated_ambient_reduction,
     truncated_symmetric_state_vector,
 )
+from definetti.suites import TRUNCATED_CONFIGS
 
 print("Truncated symmetric vectors")
 print("---------------------------")
@@ -25,7 +27,7 @@ print(f"  exchange symmetry defect = {np.linalg.norm(arr - arr.transpose(1, 0, 2
 print()
 print("Subset-sum reduction checks")
 print("---------------------------")
-for (d, big_d, n, k) in [(2, 3, 1, 1), (2, 3, 2, 1)]:
+for (d, big_d, n, k) in TRUNCATED_CONFIGS:
     res = check_truncated_ambient_reduction(n, k, d, big_d, seed=0)
     print(f"  d={d} D={big_d} n={n} k={k}: prefactor {res.prefactor:>3d}, "
           f"PSD gap {res.gap_min_eig:+.3e} -> pass = {res.passed}")
@@ -39,6 +41,7 @@ embedded[:2, :2] = theta2.reshape(2, 2)
 trunc = check_truncated_ambient_reduction(2, 0, 2, 3, seed=0, theta=embedded.reshape(-1))
 pure = check_pure_reduction(theta2, 2, 2)
 print(f"  truncated prefactor {trunc.prefactor} = pure prefactor {pure.prefactor}")
-low_block = trunc.rhs.matrix.reshape(3, 3, 3, 3)[:2, :2, :2, :2].reshape(4, 4)
-print(f"  bound operators agree on the low block: "
-      f"{np.linalg.norm(low_block - pure.rhs.matrix):.2e}")
+# the truncated operators live on the kept classes: here the 3 classes of Sym^2(C^2)
+iso = _sym_isometry(2, 2)
+print(f"  bound operators agree on Sym^2(C^2) ({trunc.rhs.side} classes): "
+      f"{np.linalg.norm(trunc.rhs.matrix - iso.T @ pure.rhs.matrix @ iso):.2e}")

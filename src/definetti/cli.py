@@ -120,7 +120,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-truncated", help="truncated-ambient reduction checks")
     p.add_argument("--config", action="append", default=None, metavar="d,D,n,k",
-                   help="repeatable; default 2,3,1,1 and 2,3,2,1")
+                   help="repeatable; default " + " and ".join(",".join(map(str, c)) for c in suites.TRUNCATED_CONFIGS))
     p.add_argument("--seeds", type=int, default=5)
     _add_common(p)
 
@@ -196,11 +196,10 @@ def _dispatch(args, seed: int) -> int:
     if args.command == "verify-classical":
         return _finish(suites.classical_suite(d=args.d, n=args.n, seed=seed), args)
     if args.command == "verify-truncated":
-        configs = [tuple(int(x) for x in spec.split(",")) for spec in args.config or ()]
+        configs = [tuple(int(x) for x in spec.split(",")) for spec in args.config or ()] or suites.TRUNCATED_CONFIGS
         if any(len(c) != 4 for c in configs):
             raise ValueError(f"--config takes four integers d,D,n,k, got {args.config}")
-        recs = suites.truncated_suite(configs=configs or ((2, 3, 1, 1), (2, 3, 2, 1)), seeds=args.seeds, seed=seed)
-        return _finish(recs, args)
+        return _finish(suites.truncated_suite(configs=configs, seeds=args.seeds, seed=seed), args)
     if args.command == "hsep":
         op = load_operator(args.op)
         cut = _parse_cut(args.cut, len(op.dims))

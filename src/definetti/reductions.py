@@ -9,7 +9,6 @@ operator - state) with an explicit combinatorial prefactor.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -155,18 +154,21 @@ def _sampled_check(margins: np.ndarray, params: dict, **extras) -> SampledCheck:
 
 
 def _require_symmetric_vector(theta: np.ndarray, n: int, d: int, tol: float = SYMMETRY_TOL) -> None:
+    if not np.isfinite(theta).all():
+        raise ValueError("vector has a non-finite entry")
     arr = theta.reshape((d,) * n)
     for i in range(n - 1):
         if np.linalg.norm(np.swapaxes(arr, i, i + 1) - arr) > tol:
             raise ValueError(f"input is not permutation symmetric to {tol:g}")
 
 
-def _sym_isometry(n: int, d: int) -> np.ndarray:
-    """``d^n x binom(n+d-1, n)`` isometry ``V`` onto ``Sym^n(C^d)``: column
-    ``c`` is ``1/sqrt(size)`` on each string of occupation class ``c``.
-    ``V`` is real, so ``V^dag a V = V.T @ a @ V``."""
+def _sym_isometry(n: int, d: int, kept=slice(None)) -> np.ndarray:
+    """``d^n x binom(n+d-1, n)`` isometry ``V`` onto ``Sym^n(C^d)``, or its
+    ``kept`` columns: column ``c`` is ``1/sqrt(size)`` on each string of
+    occupation class ``c``.  ``V`` is real, so ``V^dag a V = V.T @ a @ V``."""
     label, _, sizes = _occupation_table(n, d)
-    return np.divide(label[:, None] == np.arange(len(sizes)), np.sqrt(sizes), dtype=complex)
+    ids = np.arange(len(sizes))[kept]
+    return np.divide(label[:, None] == ids, np.sqrt(sizes[ids]), dtype=complex)
 
 
 @functools.lru_cache(maxsize=8)
@@ -252,6 +254,8 @@ def monte_carlo_constrained_moment(
     """
     _require_samples(samples)
     theta = np.asarray(theta, dtype=complex).reshape(-1)
+    if not np.isfinite(theta).all():
+        raise ValueError("vector has a non-finite entry")
     dn = d**n
     mean = np.zeros((dn, dn), dtype=complex)
     sq_re = np.zeros((dn, dn))
@@ -432,7 +436,7 @@ def check_classical_reduction(weights, d: int, n: int) -> ClassicalReductionChec
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size != d**n:
         raise ValueError(f"weights length {w.size} is not {d}^{n}")
-    if (w < -1e-14).any() or abs(w.sum() - 1.0) > 1e-12:
+    if not ((w >= -1e-14).all() and abs(w.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be a probability distribution")
     w = np.clip(w, 0.0, None)
     _require_symmetric_vector(w, n, d, tol=1e-12)
@@ -489,16 +493,17 @@ def check_truncated_ambient_reduction(
     prefactor is ``sum_q binom(n+k, q) * binom(n+d-1, n)^3``.
 
     A given ``theta`` must be symmetric with at most ``k`` letters outside
-    ``C^d``.  Then the rhs commutes with permutations and, as ``theta``, vanishes
-    off those strings, so the gap is the margin on those classes of ``Sym^m``.
+    ``C^d``.  Both sides then commute with permutations and vanish off those
+    classes of ``Sym^m``, so ``lhs`` and ``rhs`` are operators on them, in the
+    coordinates of the kept columns of the ``Sym^m`` isometry.  There every
+    subset of size ``s`` gives the same term: one :func:`_sym_gram` per size.
     """
     _require_at_least(1, n=n, d=d)
     _require_at_least(0, k=k)
     if d >= big_d:
         raise ValueError("need d < D for a proper truncation")
     m = n + k
-    side = big_d**m
-    check_side(side, "truncated ambient check")
+    check_side(big_d**m, "truncated ambient check")
     kept = _kept_classes(m, n, d, big_d)
     if theta is None:
         theta = truncated_symmetric_state_vector(n, k, d, big_d, seed)
@@ -508,24 +513,18 @@ def check_truncated_ambient_reduction(
         if np.linalg.norm(theta[~kept[_occupation_table(m, big_d)[0]]]) > SYMMETRY_TOL:
             raise ValueError(f"vector has weight on strings with more than {k} letters outside C^{d}")
 
-    arr = theta.reshape((big_d,) * m)
-    index = np.arange(side).reshape((big_d,) * m)
-    rhs = np.zeros((side, side), dtype=complex)
-    for msize in range(n, m + 1):
-        norm = math.comb(2 * msize + d - 1, 2 * msize)
-        for subset in itertools.combinations(range(m), msize):
-            comp = [i for i in range(m) if i not in subset]
-            order = comp + list(subset)
-            slicer = tuple(slice(d, big_d) for _ in comp) + tuple(slice(0, d) for _ in subset)
-            block = arr.transpose(order)[slicer].reshape(-1, d**msize)
-            term = _sym_gram(block, msize, d) / norm
-            # basis indices of the block's entries, comp digits the slow axis
-            rows = index.transpose(order)[slicer].reshape(-1)
-            rhs[np.ix_(rows, rows)] += term.reshape(rows.size, rows.size)
-
+    iso = _sym_isometry(m, big_d, kept)
+    arr, index = theta.reshape((big_d,) * m), np.arange(big_d**m).reshape((big_d,) * m)
+    rhs = np.zeros((iso.shape[1],) * 2, dtype=complex)
+    for s in range(n, m + 1):
+        # complement letters on the first m - s slots, C^d letters on the last s
+        slicer = (slice(d, None),) * (m - s) + (slice(0, d),) * s
+        on = iso[index[slicer].reshape(-1)]
+        term = _sym_gram(arr[slicer].reshape(-1, d**s), s, d).reshape(len(on), len(on))
+        rhs += on.T @ (term * (math.comb(m, s) / math.comb(2 * s + d - 1, 2 * s))) @ on
     prefactor = sum(math.comb(m, q) for q in range(k + 1)) * math.comb(n + d - 1, n) ** 3
-    rhs = prefactor * (rhs + rhs.conj().T) / 2.0
-    dims = Dims((big_d,) * m)
-    lhs = HermitianOperator(np.outer(theta, theta.conj()), dims)
+    amp = iso.T @ theta
+    dims = Dims((len(amp),))
+    rhs = HermitianOperator(prefactor * (rhs + rhs.conj().T) / 2.0, dims)
     params = {"n": n, "k": k, "d": d, "D": big_d, "seed": seed}
-    return _operator_check(lhs, HermitianOperator(rhs, dims), prefactor, params, on=_sym_isometry(m, big_d)[:, kept])
+    return _operator_check(HermitianOperator(np.outer(amp, amp.conj()), dims), rhs, prefactor, params)

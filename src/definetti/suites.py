@@ -42,6 +42,8 @@ __all__ = [
     "all_passed",
 ]
 
+TRUNCATED_CONFIGS = ((2, 3, 1, 1), (2, 3, 2, 1))  # verify-truncated's (d, D, n, k) when none is given
+
 
 def record(
     suite: str,
@@ -154,7 +156,7 @@ def classical_suite(d: int = 2, n: int = 3, seed: int = 0):
     return out
 
 
-def truncated_suite(configs=((2, 3, 1, 1), (2, 3, 2, 1)), seeds: int = 5, seed: int = 0):
+def truncated_suite(configs=TRUNCATED_CONFIGS, seeds: int = 5, seed: int = 0):
     """Seeded PSD checks of the truncated-ambient reduction."""
     _require_at_least(1, seeds=seeds)
     out = []

@@ -22,6 +22,7 @@ from definetti.operators import (
     tensor_power,
 )
 from definetti.reductions import (
+    _sym_isometry,
     check_classical_reduction,
     check_mixed_reduction,
     check_pure_reduction,
@@ -123,19 +124,17 @@ def test_criterion_06_truncated_reduction():
         res = check_truncated_ambient_reduction(n, k, d, big_d, seed=0)
         ok &= res.passed and res.tolerance == 1e-9
     # k = 0 reduces to the pure reduction: same prefactor, and the bound
-    # operator is the pure-case operator embedded in the low block
+    # operator lives on the kept classes, Sym^2(C^2) at k = 0, and equals
+    # the pure-case operator compressed there
     theta = symmetric_state_vector(2, 2, 7, "acc6")
     emb = np.zeros((3, 3), dtype=complex)
     emb[:2, :2] = theta.reshape(2, 2)
     trunc = check_truncated_ambient_reduction(2, 0, 2, 3, seed=0, theta=emb.reshape(-1))
     pure = check_pure_reduction(theta, 2, 2)
     ok &= trunc.prefactor == pure.prefactor
-    full = trunc.rhs.matrix.reshape(3, 3, 3, 3)
-    low = full[:2, :2, :2, :2].reshape(4, 4)
-    ok &= np.linalg.norm(low - pure.rhs.matrix) <= 1e-12
-    mask = np.ones((3, 3, 3, 3), dtype=bool)
-    mask[:2, :2, :2, :2] = False
-    ok &= np.abs(full[mask]).max() <= 1e-15
+    ok &= trunc.rhs.side == math.comb(2 + 2 - 1, 2)
+    iso = _sym_isometry(2, 2)
+    ok &= np.linalg.norm(trunc.rhs.matrix - iso.T @ pure.rhs.matrix @ iso) <= 1e-12
     _report(6, "truncated-ambient reduction and k=0 degeneration", ok)
 
 

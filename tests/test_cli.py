@@ -76,6 +76,13 @@ def test_verify_truncated(tmp_path):
     assert all(r["pass"] for r in recs)
 
 
+def test_verify_truncated_reaches_the_cap_at_d_16(tmp_path):
+    # D^m = 16^3 = 4096, the default cap; the check itself works on 46 kept classes
+    code, blob = run(tmp_path, "verify-truncated", "--config", "2,16,2,1", "--seeds", "1")
+    assert code == 0
+    assert all(r["pass"] for r in json.loads(blob))
+
+
 def test_hsep_and_certificate(tmp_path, singlet_file):
     cert = tmp_path / "cert.json"
     code, blob = run(

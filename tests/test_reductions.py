@@ -706,12 +706,22 @@ def dense_truncated_rhs(theta, n, k, d, big_d):
     return prefactor * (rhs + rhs.conj().T) / 2.0
 
 
-@pytest.mark.parametrize("d,big_d,n,k", [(2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 2), (1, 3, 2, 2)])
+@pytest.mark.parametrize(
+    "d,big_d,n,k", [(2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 2, 2), (1, 3, 2, 2), (2, 3, 2, 0), (2, 4, 2, 2)]
+)
 def test_truncated_rhs_matches_dense_projector(d, big_d, n, k):
+    # the check's operators live on the kept classes of Sym^m: the dense subset
+    # sum compressed there by the kept columns of the isometry, with the same gap and verdict
     theta = truncated_symmetric_state_vector(n, k, d, big_d, 20)
     res = check_truncated_ambient_reduction(n, k, d, big_d, seed=20, theta=theta)
+    iso = _sym_isometry(n + k, big_d)[:, reductions._kept_classes(n + k, n, d, big_d)]
     dense = dense_truncated_rhs(theta, n, k, d, big_d)
-    assert np.abs(res.rhs.matrix - dense).max() <= 1e-12 * np.abs(dense).max()
+    ref = iso.T @ dense @ iso
+    assert res.rhs.side == res.lhs.side == iso.shape[1]
+    assert np.abs(res.rhs.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+    gap = np.linalg.eigvalsh(iso.T @ (dense - np.outer(theta, theta.conj())) @ iso)[0]
+    assert abs(res.gap_min_eig - gap) <= 1e-12 * max(1.0, abs(gap))
+    assert res.passed == (gap >= -1e-9)
 
 
 def permutation_truncated_vector(n, k, d, big_d, seed):
@@ -736,6 +746,47 @@ def test_truncated_vector_is_the_table_draw_bit_for_bit():
             for labels in ((), ("x", 3)):
                 got = truncated_symmetric_state_vector(n, k, d, big_d, seed, *labels)
                 assert np.array_equal(got, table_truncated_vector(n, k, d, big_d, seed, *labels))
+
+
+def test_truncated_check_builds_one_term_per_size_on_the_kept_classes(monkeypatch):
+    # (n, k, d, D) = (2, 1, 2, 16): 46 kept classes of Sym^3(C^16), two subset
+    # sizes; a dense D^m x D^m subset sum over all 4 subsets would take 775 MB
+    sizes = []
+    gram = reductions._sym_gram
+    monkeypatch.setattr(reductions, "_sym_gram", lambda rows, m, d: sizes.append(m) or gram(rows, m, d))
+    tracemalloc.start()
+    try:
+        res = check_truncated_ambient_reduction(2, 1, 2, 16, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and res.rhs.side == res.lhs.side == 46
+    assert sizes == [2, 3]
+    assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n,d", [(1, 3), (2, 2)])
+def test_non_finite_vectors_and_weights_are_refused(n, d, bad):
+    # nan > tol is false, and at n = 1 the symmetry test has no pair to swap,
+    # so only an explicit finite test refuses these before an eigensolve or a NaN result
+    theta = symmetric_state_vector(n, d, 3)
+    theta[-1] = bad
+    emb = np.zeros((d + 1,) * n, dtype=complex)
+    emb[(slice(0, d),) * n] = theta.reshape((d,) * n)
+    calls = (
+        lambda: constrained_moment(theta, n, d),
+        lambda: check_pure_reduction(theta, n, d),
+        lambda: monte_carlo_constrained_moment(theta, n, d, samples=4, seed=0),
+        lambda: check_truncated_ambient_reduction(n, 0, d, d + 1, seed=0, theta=emb.reshape(-1)),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite entry"):
+            call()
+    weights = np.full(d**n, 1.0 / d**n)
+    weights[-1] = bad
+    with pytest.raises(ValueError, match="probability distribution"):
+        check_classical_reduction(weights, d, n)
 
 
 def test_truncated_reduction_rejects_asymmetric_theta():
