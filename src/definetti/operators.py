@@ -96,6 +96,13 @@ def _require_at_least(low: int, **sizes) -> None:
             raise ValueError(f"need {name} >= {low}, got {value}")
 
 
+def _require_count(least: int, **counts) -> None:
+    """Raise ``ValueError`` for the first of ``counts`` that is not an integer ``>= least`` (a ``bool`` is not)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
 def stream(seed: int, *labels) -> np.random.Generator:
     """Counter-based generator on an independent stream named by ``labels``.
 
@@ -552,7 +559,7 @@ def _psd_spectrum(mat: np.ndarray, vectors: bool = False):
     least = float(w[..., 0].min())
     if least < -PSD_MIN_EIG_TOL:
         raise ValueError(f"not PSD: minimum eigenvalue {least:.3e}")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return (w, v) if vectors else w
 
 

@@ -25,6 +25,7 @@ from .operators import (
     _kraus_sum,
     _occupation_table,
     _require_at_least,
+    _require_count,
     _symmetric_draw,
     as_dims,
     channel_on_factors,
@@ -237,11 +238,6 @@ def _vector_powers(psi: np.ndarray, n: int) -> np.ndarray:
     return power
 
 
-def _require_samples(samples: int) -> None:
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be >= 1 and an integer, got {samples!r}")
-
-
 def monte_carlo_constrained_moment(
     theta, n: int, d: int, samples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +248,7 @@ def monte_carlo_constrained_moment(
     where ``stderr`` combines the entrywise standard errors of the real and
     imaginary parts in quadrature.
     """
-    _require_samples(samples)
+    _require_count(1, samples=samples)
     theta = np.asarray(theta, dtype=complex).reshape(-1)
     if not np.isfinite(theta).all():
         raise ValueError("vector has a non-finite entry")
@@ -329,7 +325,7 @@ def check_mixed_reduction(n: int, d: int, seed: int, samples: int = 100) -> Redu
     ``rho`` is permutation invariant but not Bose symmetric, so the PSD gap
     is taken on the full space ``H^{(x) n}``.
     """
-    _require_samples(samples)
+    _require_count(1, samples=samples)
     d2 = d * d
     theta = symmetric_state_vector(n, d2, seed, "mixed-reduction")
     rho = partial_trace_vector(theta, Dims((d, d) * n), range(0, 2 * n, 2))
@@ -376,7 +372,7 @@ def check_integrand_domination(
     and reports how much sample mass falls inside the fidelity-``delta``
     neighbourhood of ``tau0`` under the channel.
     """
-    _require_samples(samples)
+    _require_count(1, samples=samples)
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     n = _copies_of(rho, ch)
@@ -403,7 +399,7 @@ def check_fixed_point_reduction(
     Requires ``ch^{(x) n}(rho) = rho``; per sample it checks
     ``F(rho, ch(sigma)^n) >= F(rho, sigma^n)``.
     """
-    _require_samples(samples)
+    _require_count(1, samples=samples)
     n = _copies_of(rho, ch)
     _require_image(ch, rho, rho, "state is not a fixed point of the channel power")
     d = ch.in_dims.size

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .operators import (
     DensityMatrix,
     Dims,
     HermitianOperator,
+    _psd_spectrum,
+    _require_count,
     check_side,
     max_side,
     permute_factors,
@@ -67,6 +70,8 @@ SEESAW_MAX_ITERS = 200
 FW_STOP = 1e-12
 # recheck_certificate accepts a recomputed value within this of the claim
 RECHECK_TOL = 1e-8
+# bytes of cached levels that _irrep_blocks keeps (a level at q = 88 holds 11 MB)
+IRREP_CACHE_BYTES = 32 * 2**20
 
 
 @dataclass(frozen=True)
@@ -187,11 +192,6 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec * (vec[k] / abs(vec[k])).conjugate()
 
 
-def _top_eigpair(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    w, v = np.linalg.eigh(mat)
-    return float(w[-1]), _fix_phase(v[:, -1])
-
-
 # 1, X, Y, Z; vec(M) @ _PAULI_PAIRS lists Tr[M (sigma_mu (x) sigma_nu)] by (mu, nu)
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 _PAULI_PAIRS = np.einsum("mab,ncd->bdacmn", _PAULIS, _PAULIS).reshape(16, 16)
@@ -209,17 +209,20 @@ def _bloch_half_step(y: np.ndarray, k: np.ndarray, x: np.ndarray):
     ``r . sigma`` for ``r = y @ k``, so its top eigenpair is ``r0 + |r|`` at
     ``s = r / |r|``.  A row with ``r = 0`` (a multiple of 1) keeps ``x``."""
     r = y @ k
-    norm = np.linalg.norm(r[:, 1:], axis=1)
-    flat = norm == 0.0
-    s = np.where(flat[:, None], x, r / np.where(flat, 1.0, norm)[:, None])
+    norm = np.sqrt(np.add.reduce(r[:, 1:] * r[:, 1:], 1))
+    if np.minimum.reduce(norm) > 0.0:  # no flat row
+        s = r / norm[:, None]
+    else:
+        flat = norm == 0.0
+        s = np.where(flat[:, None], x, r / np.where(flat, 1.0, norm)[:, None])
     s[:, 0] = 1.0
     return s, r[:, 0] + norm
 
 
 def _bloch_ket(s: np.ndarray) -> np.ndarray:
-    """The unit ket of Bloch row ``s``: the longer column of its projector ``s . sigma / 2``."""
-    p = np.tensordot(s, _PAULIS, 1)
-    col = p[:, np.argmax(p.diagonal().real)]
+    """Unit ket of Bloch row ``s``: the longer column of ``s.sigma = [[s0 + s3, s1 - i s2], [s1 + i s2, s0 - s3]]``."""
+    s0, s1, s2, s3 = s
+    col = np.array([s0 + s3, complex(s1, s2)] if s0 + s3 >= s0 - s3 else [complex(s1, -s2), s0 - s3])
     return col / np.linalg.norm(col)
 
 
@@ -278,13 +281,15 @@ def _seesaw_product_max(
     stops once its value gains less than ``SEESAW_STOP``; ``iterations`` sums
     the per-start counts.  Ties between starts resolve to the lowest index.
     """
-    _require_restarts(restarts, initial_points)
+    _require_count(0 if len(initial_points) else 1, restarts=restarts)
     # the draw has real and imaginary planes, each with A's entries then B's
     g = stream(seed, "seesaw-starts").standard_normal((restarts, 2, da + db))
     z, k = g[:, 0] + 1j * g[:, 1], len(initial_points)
-    A = np.concatenate([np.asarray([a for a, _ in initial_points], dtype=complex).reshape(k, da), z[:, :da]])
-    B = np.concatenate([np.asarray([b for _, b in initial_points], dtype=complex).reshape(k, db), z[:, da:]])
-    A, B = (x / np.linalg.norm(x, axis=1, keepdims=True) for x in (A, B))
+    A, B = z[:, :da], z[:, da:]
+    if k:
+        A = np.concatenate([np.asarray([a for a, _ in initial_points], dtype=complex).reshape(k, da), A])
+        B = np.concatenate([np.asarray([b for _, b in initial_points], dtype=complex).reshape(k, db), B])
+    A, B = (x / np.sqrt(np.add.reduce((x.conj() * x).real, 1, keepdims=True)) for x in (A, B))
     if bloch := (da, db) == (2, 2):
         t = (matrix.reshape(-1) @ _PAULI_PAIRS).real.reshape(4, 4) / 4.0
         ka_t, kb_t = t.T, t
@@ -302,8 +307,8 @@ def _seesaw_product_max(
     for it in range(1, max_iters + 1):
         a = _bloch_half_step(b, ka_t, a)[0] if bloch else _eig_half_step(b, ka_t)[0]
         b, new = _bloch_half_step(a, kb_t, b) if bloch else _eig_half_step(a, kb_t)
-        done = new - last < SEESAW_STOP
-        if done.any():
+        if np.minimum.reduce(gain := new - last) < SEESAW_STOP:
+            done = gain < SEESAW_STOP
             stop = active[done]
             A[stop], B[stop], iters[stop] = a[done], b[done], it
             values[stop] = np.maximum(last[done], new[done])
@@ -336,13 +341,6 @@ def _require_contraction(matrix: np.ndarray) -> None:
     w = np.linalg.eigvalsh(matrix)
     if w[0] < -PSD_MIN_EIG_TOL or w[-1] > 1.0 + PSD_MIN_EIG_TOL:
         raise ValueError(f"operator must satisfy 0 <= M <= 1: spectrum [{w[0]:.3e}, {w[-1]:.3e}]")
-
-
-def _require_restarts(restarts, initial_points=()) -> None:
-    """Raise unless ``restarts`` is an integer that leaves the seesaw a start."""
-    least = 0 if len(initial_points) else 1
-    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < least:
-        raise ValueError(f"restarts must be an integer >= {least}, got {restarts!r}")
 
 
 def hsep_seesaw(
@@ -380,8 +378,7 @@ def hqext(m: HermitianOperator, cut: BipartiteCut, q: int) -> QExtResult:
     side ``da * sum_lambda dim_lambda`` (``_hqext_regrouped``), and
     ``QExtResult.witness()`` lifts the top block vector to ``A (x) B^q``.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    _require_count(1, q=q)
     matrix, da, db = _regroup(m, cut)
     _require_contraction(matrix)
     return _hqext_regrouped(matrix, da, db, q)
@@ -412,8 +409,10 @@ def _hqext_regrouped(matrix: np.ndarray, da: int, db: int, q: int) -> QExtResult
         mv = m_ab.reshape(da * da * db, db) @ v.transpose(1, 0, 2).reshape(db, kp * k)
         t += mv.reshape(da, da, db, kp, k).transpose(0, 1, 3, 2, 4)
         block = v.reshape(kp * db, k).conj().T @ t.reshape(da, da, kp * db, k)  # [a, a', l', l]
-        blocks.append((*_top_eigpair(block.transpose(0, 2, 1, 3).reshape(da * k, da * k) / q), shape))
+        w, vecs = np.linalg.eigh(block.transpose(0, 2, 1, 3).reshape(da * k, da * k) / q)
+        blocks.append((float(w[-1]), vecs[:, -1], shape))
     value, x, shape = max(blocks, key=lambda b: b[0])
+    x = _fix_phase(x)  # the winner's only
     return QExtResult(value=value, q=q, block_vec=x, irrep=shape, block_side=len(x), dims=(da, db))
 
 
@@ -425,7 +424,29 @@ def _level_side(db: int, q: int) -> int:
     return sum(math.comb(i + m - 1, i) * math.comb(q - 2 * i + db - 1, db - 1) for i in range(q // 2 + 1)) if m else 1
 
 
-@functools.lru_cache(maxsize=16)
+def _bytes_lru(fn):
+    """``fn`` memoized while the arrays of its values hold at most
+    ``IRREP_CACHE_BYTES``, least recently used out first, with the
+    ``cache_clear`` and ``cache_info().currsize`` of ``lru_cache``."""
+    cache = {}
+
+    @functools.wraps(fn)
+    def cached(*key):
+        if key in cache:
+            cache[key] = cache.pop(key)  # now the most recently used
+            return cache[key][0]
+        value = fn(*key)
+        cache[key] = value, sum({id(a): a.nbytes for e in value for a in e if isinstance(a, np.ndarray)}.values())
+        while sum(n for _, n in cache.values()) > IRREP_CACHE_BYTES:
+            del cache[next(iter(cache))]
+        return value
+
+    cached.cache_clear = cache.clear
+    cached.cache_info = lambda: SimpleNamespace(currsize=len(cache), bytes=sum(n for _, n in cache.values()))
+    return cached
+
+
+@_bytes_lru
 def _irrep_blocks(db: int, q: int) -> tuple:
     """One Gelfand-Tsetlin piece of ``(C^db)^{(x)q}`` per Young diagram.
 
@@ -447,8 +468,8 @@ def _irrep_blocks(db: int, q: int) -> tuple:
     1 + 1 (x) |b><b'|) v`` (the add-one-box step of the Schur transform,
     Bacon-Chuang-Harrow, arXiv:quant-ph/0407082), are formed only when
     level ``q + 1`` is built, from this level alone.  So a sweep ``q =
-    1..Q`` builds each level once, and 16 entries hold the chain that
-    ``QExtResult.witness`` reads (``q <= 11`` under the default cap) or the
+    1..Q`` builds each level once, and the cache holds the chain that
+    ``QExtResult.witness`` reads (``q <= 11`` under the default cap), the
     sweeps of ``db = 2`` to ``q = 6`` and ``db = 3`` to ``q = 5`` at once.
     """
     if q == 0:
@@ -491,6 +512,7 @@ def hsep_certified_interval(
     is the certified test slack; ``delta_extension_distance`` applies the extendibility
     distance bound ``2 d^2 / q`` to the lower end as looser metadata.
     """
+    _require_count(1, q_max=q_max)
     seesaw = hsep_seesaw(m, cut, restarts=restarts, seed=seed)
     return _interval_from_seesaw(m, cut, q_max, seesaw)
 
@@ -499,10 +521,8 @@ def _interval_from_seesaw(
     m: HermitianOperator, cut: BipartiteCut, q_max: int, seesaw: SeesawResult
 ) -> CertifiedInterval:
     """``hsep_certified_interval`` around a seesaw result already computed for
-    ``(m, cut)``; that call has checked ``0 <= M <= 1``, so it is not
-    repeated here."""
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
+    ``(m, cut)``; that call has checked ``0 <= M <= 1``, and the caller
+    ``q_max``, so neither is repeated here."""
     matrix, da, db = _regroup(m, cut)
     per_q = {q: _hqext_regrouped(matrix, da, db, q).value for q in range(1, q_max + 1)}
     q_used = min(per_q, key=lambda q: (per_q[q], q))
@@ -548,26 +568,44 @@ def _fidelity_gradient(rho_sqrt: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return (g + g.conj().T) / 2.0
 
 
-def _line_max(f, x0: np.ndarray, x1: np.ndarray) -> tuple[float, float]:
-    """``(t, value)`` maximizing ``f((1 - t) x0 + t x1)`` over ``[0, 1]``, for a
-    unimodal ``f`` evaluated on stacks of points.  After both ends, each round
-    evaluates 16 evenly spaced interior points of the bracket in one call and
-    keeps the best one's two grid neighbours: 11 rounds reach width ``1e-10``.
-    A later point replaces the best only when strictly better."""
-
-    def values(ts):
-        return f(np.multiply.outer(1.0 - ts, x0) + np.multiply.outer(ts, x1))
-
-    ends = values(np.array([0.0, 1.0]))
+def _line_max(x0: np.ndarray, x1: np.ndarray) -> tuple[float, float]:
+    """``(t, F(t))`` maximizing the concave ``F(t) = Tr sqrt(x0 + t (x1 -
+    x0))`` on ``[0, 1]``: PSD Hermitian ``x0``, ``x1``, or nonnegative
+    vectors as the diagonal case (``F`` of ``p * q`` is the classical
+    fidelity).  The ends are compared by value: ``F'`` is infinite where the
+    rank drops, which no clipped spectrum shows.  Inside the bracket, each
+    Newton step takes ``F' = sum_i D_ii / (2 r_i)`` and ``F'' = -sum_ij
+    |D_ij|^2 / (2 r_i r_j (r_i + r_j))`` from one spectrum ``V diag(r^2)
+    V^dag``, ``D = V^dag (x1 - x0) V``, over eigenvalues above a relative
+    rounding floor.  A step out of the bracket, or not under half the move
+    before last, bisects; one out through an end of the segment probes
+    ``1e-5`` of the bracket from there.  Stops at a ``1e-10`` bracket or a
+    predicted gain ``F'^2 / -F''`` of ``1e-15 F``."""
+    quantum, d = x0.ndim == 2, x1 - x0
+    ends = _root_fidelities(np.stack([x0, x1])) if quantum else np.sqrt(np.stack([x0, x1])).sum(axis=1)
     t_best, f_best = (0.0, ends[0]) if ends[0] >= ends[1] else (1.0, ends[1])
-    lo, hi, grid = 0.0, 1.0, np.linspace(0.0, 1.0, 18)
-    while hi - lo > 1e-10:
-        ts = lo + (hi - lo) * grid
-        vals = values(ts[1:-1])
-        i = int(np.argmax(vals))
-        if vals[i] > f_best:
-            t_best, f_best = ts[i + 1], vals[i]
-        lo, hi = ts[i], ts[i + 2]
+    lo, hi, t, moved, before = 0.0, 1.0, 0.5, 1.0, 1.0
+    for _ in range(64):
+        w, v = _psd_spectrum(x0 + t * d, vectors=True) if quantum else (x0 + t * d, None)
+        r = np.sqrt(w)
+        if (value := r.sum()) > f_best:
+            t_best, f_best = t, value
+        r[w <= len(w) * np.finfo(float).eps * w.max()] = np.inf  # out of both sums
+        if quantum:
+            dt = v.conj().T @ d @ v
+            slope = (dt.diagonal().real / r).sum() / 2.0
+            curv = -(np.abs(dt) ** 2 / (np.multiply.outer(r, r) * np.add.outer(r, r))).sum() / 2.0
+        else:
+            slope, curv = (d / r).sum() / 2.0, -(d * d / r**3).sum() / 4.0
+        lo, hi = (t, hi) if slope > 0.0 else (lo, t)
+        if slope == 0.0 or hi - lo <= 1e-10 or slope * (step := slope / -curv) <= 1e-15 * value:
+            break
+        new, out = t + step, not lo < t + step < hi
+        if out and (end := hi if new >= hi else lo) in (0.0, 1.0):
+            new = end + 1e-5 * (lo + hi - 2.0 * end)
+        elif out or 2.0 * abs(step) > before:
+            new = (lo + hi) / 2.0
+        before, moved, t = moved, abs(new - t), new
     return float(t_best), float(f_best)
 
 
@@ -578,7 +616,7 @@ def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
     pairs; in round ``it`` the oracle ``lmo(grad, it)`` returns the pair
     maximizing ``<grad, atom>``, mixed in by an exact line search on the
     segment between ``sqrt(rho) sigma sqrt(rho)`` and ``sqrt(rho) atom
-    sqrt(rho)`` (``_line_max``, one stacked ``eigvalsh`` a search round).
+    sqrt(rho)`` (``_line_max``, one ``eigh`` a Newton step).
     Converged once the linearized or the line-search gain is at most
     ``FW_STOP``.  The result's ``atoms`` are labels.
     """
@@ -588,7 +626,6 @@ def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
     sigma = sum(atom for _, atom in atoms) / len(atoms)
     x0 = rho_sqrt @ sigma @ rho_sqrt
     value = float(_root_fidelities(((x0 + x0.conj().T) / 2.0)[None])[0])
-    it = 0
     converged = False
     for it in range(1, iters + 1):
         grad = _fidelity_gradient(rho_sqrt, sigma)
@@ -597,7 +634,7 @@ def _fw_fidelity(matrix: np.ndarray, atoms, lmo, iters: int) -> MixtureResult:
             converged = True
             break
         x0, x1 = (rho_sqrt @ x @ rho_sqrt for x in (sigma, atom))
-        t_best, f_best = _line_max(_root_fidelities, (x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
+        t_best, f_best = _line_max((x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
         if f_best <= value + FW_STOP:
             converged = True
             break
@@ -634,6 +671,7 @@ def max_fidelity_to_sep(
     mixture is separable by construction and re-evaluates to the reported
     value.
     """
+    _require_count(1, iters=iters, restarts=restarts)
     matrix, da, db = _regroup(rho.op, cut)
 
     def lmo(grad, it):
@@ -726,15 +764,14 @@ def hs_distance_to_sep(
     ran out, the oracle's gain fell to 1e-13 or its last atom lowered the
     distance by nothing (the rounding floor).
     """
-    _require_restarts(restarts)  # a qubit pair's oracle runs no seesaw to check it
+    _require_count(1, iters=iters, restarts=restarts)  # a qubit pair's oracle runs no seesaw to check it
     matrix, da, db = _regroup(sigma.op, cut)
     dim = da * db
     atoms = _identity_atoms(da, db)
     target = matrix.reshape(-1)
     basis = np.stack([_atom_matrix(a, b).reshape(-1) for a, b in atoms])
     weights = np.full(len(atoms), 1.0 / len(atoms))
-    it, dist = 0, np.inf
-    converged = False
+    dist, converged = np.inf, False
     for it in range(1, iters + 1):
         current = weights @ basis
         resid = target - current
@@ -819,6 +856,7 @@ def measured_fidelity_to_sep_upper(
     from above through the Frank-Wolfe linearization gap, with the linear
     oracle bounded by a q-extension relaxation.
     """
+    _require_count(1, iters=iters, restarts=restarts)
     matrix, da, db = _regroup(rho.op, cut)
     povm = product_povm(povm_a, povm_b)
     if povm.side != da * db:
@@ -828,21 +866,17 @@ def measured_fidelity_to_sep_upper(
     elems = np.stack(povm.elements)
     elems_t_flat = elems.transpose(0, 2, 1).reshape(len(elems), -1)
     mask = p > 0.0
-    sqrt_p = np.sqrt(p[mask])
+    sqrt_p, grad_basis = np.sqrt(p[mask]), elems[mask].reshape(-1, dim * dim)
     sigma = np.eye(dim, dtype=complex) / dim
-    best_upper = 1.0
-    lower = 0.0
-    gap = 1.0
-    it = 0
-    stale = 0
+    best_upper, stale = 1.0, 0
     for it in range(1, iters + 1):
-        q_out = np.clip(np.real(elems_t_flat @ sigma.reshape(-1)), 0.0, None)
+        q_out = np.maximum((elems_t_flat @ sigma.reshape(-1)).real, 0.0)
         lower = classical_fidelity(p, q_out)
-        coeff = sqrt_p / (2.0 * np.sqrt(np.clip(q_out[mask], 1e-18, None)))
-        grad = np.tensordot(coeff, elems[mask], axes=(0, 0))
+        coeff = sqrt_p / (2.0 * np.sqrt(np.maximum(q_out[mask], 1e-18)))
+        grad = (coeff @ grad_basis).reshape(dim, dim)
         grad = (grad + grad.conj().T) / 2.0
         lmo_up = _product_lmo_upper(grad, da, db)
-        gap = lmo_up - float(np.real(np.trace(grad @ sigma)))
+        gap = lmo_up - float(np.vdot(grad, sigma).real)
         improved = lower + gap < best_upper - 1e-10
         best_upper = min(best_upper, lower + gap)
         stale = 0 if improved else stale + 1
@@ -850,8 +884,8 @@ def measured_fidelity_to_sep_upper(
             break
         step = _seesaw_product_max(grad, da, db, restarts, 80, seed + it)
         atom = _atom_matrix(step.a_vec, step.b_vec)
-        q_atom = np.clip(np.real(elems_t_flat @ atom.reshape(-1)), 0.0, None)
-        t_best, f_best = _line_max(functools.partial(classical_fidelity, p), q_out, q_atom)
+        q_atom = np.maximum((elems_t_flat @ atom.reshape(-1)).real, 0.0)
+        t_best, f_best = _line_max(p * q_out, p * q_atom)
         if f_best <= lower + 1e-13:
             break
         sigma = (1.0 - t_best) * sigma + t_best * atom

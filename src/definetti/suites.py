@@ -18,6 +18,7 @@ from .operators import (
     HermitianOperator,
     _occupation_table,
     _require_at_least,
+    _require_count,
     check_side,
     ginibre,
     hermitian,
@@ -175,7 +176,8 @@ def hsep_records(
     seed: int = 0,
     q_max: int = 0,
 ):
-    """Seesaw value (plus optional certified interval) for one operator."""
+    """Seesaw value (plus, unless ``q_max`` is 0, the certified interval) for one operator."""
+    _require_count(0, q_max=q_max)
     res = separability.hsep_seesaw(op, cut, restarts=restarts, seed=seed)
     records = [
         record(

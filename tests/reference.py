@@ -227,6 +227,40 @@ def permutation_symmetrized_string(d: int, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the seesaw's eigensteps one at a time, and the Bloch step and ket as first
+# written
+
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def top_eigpair(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of a Hermitian matrix and its eigenvector, rotated so
+    that its largest-magnitude entry is real and positive."""
+    w, v = np.linalg.eigh(mat)
+    vec = v[:, -1]
+    k = int(np.argmax(np.abs(vec)))
+    return float(w[-1]), vec * (vec[k] / abs(vec[k])).conjugate()
+
+
+def bloch_half_step(y: np.ndarray, k: np.ndarray, x: np.ndarray):
+    """Top eigenpairs of ``r . sigma`` for ``r = y @ k``, one per Bloch row:
+    ``s = r / |r|`` and ``r0 + |r|``; a row with ``r = 0`` keeps ``x``."""
+    r = y @ k
+    norm = np.linalg.norm(r[:, 1:], axis=1)
+    flat = norm == 0.0
+    s = np.where(flat[:, None], x, r / np.where(flat, 1.0, norm)[:, None])
+    s[:, 0] = 1.0
+    return s, r[:, 0] + norm
+
+
+def bloch_ket(s: np.ndarray) -> np.ndarray:
+    """The longer column of the projector ``s . sigma / 2``, normalized."""
+    p = np.tensordot(s, PAULIS, 1)
+    col = p[:, np.argmax(p.diagonal().real)]
+    return col / np.linalg.norm(col)
+
+
+# ---------------------------------------------------------------------------
 # fidelities one at a time
 
 

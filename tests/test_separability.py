@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from definetti import suites
-from definetti.measures import Povm, _root_fidelities, _sqrtm_psd, classical_fidelity, fidelity
+from definetti import separability, suites
+from definetti.measures import Povm, _sqrtm_psd, fidelity
 from definetti.operators import (
     Dims,
     HermitianOperator,
@@ -27,8 +27,11 @@ from definetti.operators import (
     tensor_power,
 )
 from definetti.separability import (
+    IRREP_CACHE_BYTES,
     SEESAW_STOP,
     BipartiteCut,
+    _bloch_half_step,
+    _bloch_ket,
     _bloch_product_max,
     _irrep_blocks,
     _level_side,
@@ -36,7 +39,6 @@ from definetti.separability import (
     _min_norm_weights,
     _product_lmo_upper,
     _seesaw_product_max,
-    _top_eigpair,
     certificate_to_json,
     hqext,
     hs_distance_to_sep,
@@ -48,7 +50,7 @@ from definetti.separability import (
     product_povm,
     recheck_certificate,
 )
-from reference import b_side_twirl, fidelity_from_root
+from reference import b_side_twirl, bloch_half_step, bloch_ket, fidelity_from_root, top_eigpair
 
 CUT = BipartiteCut((0,), (1,))
 SINGLET_VEC = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2)
@@ -156,8 +158,8 @@ def serial_seesaw(matrix, da, db, restarts, max_iters, seed, initial_points=()):
         value, converged = -np.inf, False
         for _ in range(max_iters):
             total += 1
-            _, a = _top_eigpair(np.einsum("i,aibj,j->ab", b.conj(), m4, b))
-            new, b = _top_eigpair(np.einsum("a,aibj,b->ij", a.conj(), m4, a))
+            _, a = top_eigpair(np.einsum("i,aibj,j->ab", b.conj(), m4, b))
+            new, b = top_eigpair(np.einsum("a,aibj,b->ij", a.conj(), m4, a))
             if new - value < SEESAW_STOP:
                 value, converged = max(value, new), True
                 break
@@ -223,6 +225,23 @@ def test_bloch_seesaw_degenerate_operators(m):
     assert abs(res.value - np.linalg.eigvalsh(m)[-1]) <= 1e-12
 
 
+@pytest.mark.parametrize("flat", [0, 1, 5, 8])
+def test_fused_bloch_step_matches_the_first_one_bit_for_bit(flat):
+    # the step as first written (tests/reference.py), on random rows and on
+    # rows whose contraction is a multiple of 1: k's first row has no Bloch
+    # part, so the row (1, 0, 0, 0) contracts to r = (k00, 0, 0, 0) exactly
+    rng = np.random.default_rng(flat)
+    k = rng.standard_normal((4, 4))
+    k[0, 1:] = 0.0
+    y, x = (np.column_stack([np.ones(8), rng.standard_normal((8, 3))]) for _ in range(2))
+    y[:flat, 1:] = 0.0
+    (s, value), (s_ref, value_ref) = _bloch_half_step(y, k, x), bloch_half_step(y, k, x)
+    assert s.tobytes() == s_ref.tobytes() and value.tobytes() == value_ref.tobytes()
+    assert np.array_equal(s[:flat, 1:], x[:flat, 1:])
+    for row in np.concatenate([s, y]):
+        assert _bloch_ket(row).tobytes() == bloch_ket(row).tobytes()
+
+
 def test_seesaw_eigh_calls(monkeypatch):
     rng = stream(13, "eigh-count")
     qubits, qutrits = random_contraction(4, rng), random_contraction(9, rng)
@@ -243,7 +262,7 @@ def test_seesaw_eigh_calls(monkeypatch):
     assert len(calls) == 10
 
 
-def test_seesaw_rejects_bad_restarts():
+def test_seesaw_rejects_bad_restarts(monkeypatch):
     rho = density(np.eye(4) / 4, (2, 2))
     pauli = pauli_tomography_povm()
     calls = [
@@ -262,6 +281,31 @@ def test_seesaw_rejects_bad_restarts():
     assert hsep_seesaw(SINGLET, CUT, restarts=0, initial_points=[(e0, e0)]).restarts == 1
     with pytest.raises(ValueError):
         hsep_seesaw(SINGLET, CUT, restarts=0, initial_points=[(np.ones(3), np.ones(1))])
+    # q_max, iters and restarts must be integers >= 1 (a bool is refused),
+    # checked before any seesaw runs, whether or not a round would use them
+    def no_seesaw(*args, **kwargs):
+        raise AssertionError("a seesaw ran before the arguments were checked")
+
+    monkeypatch.setattr(separability, "_seesaw_product_max", no_seesaw)
+    monkeypatch.setattr(separability, "_bloch_product_max", no_seesaw)
+    calls = [
+        lambda **kw: max_fidelity_to_sep(rho, CUT, **kw),
+        lambda **kw: hs_distance_to_sep(rho, CUT, **kw),
+        lambda **kw: measured_fidelity_to_sep_upper(rho, CUT, pauli, pauli, **kw),
+    ]
+    for call in calls:
+        for bad in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="iters must be >= 1 and an integer"):
+                call(iters=bad)
+            with pytest.raises(ValueError, match="restarts must be >= 1 and an integer"):
+                call(iters=1, restarts=bad)
+        with pytest.raises(ValueError, match="iters must be >= 1 and an integer"):
+            call(iters=0, restarts=-1)
+    for bad in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ValueError, match="q_max must be >= 1 and an integer"):
+            hsep_certified_interval(SINGLET, CUT, q_max=bad)
+    with pytest.raises(ValueError, match="q_max must be >= 0 and an integer"):
+        suites.hsep_records(SINGLET, CUT, q_max=-1)
 
 
 def test_seesaw_ties_go_to_lowest_restart():
@@ -310,7 +354,7 @@ def test_seesaw_single_iteration_is_not_converged():
 def test_seesaw_returns_phase_fixed_vectors(da, db, restarts, seed):
     # the loop leaves eigenvector phases as eigh returns them; the returned
     # pair is rotated so each vector's largest-magnitude entry is real and
-    # positive, as _top_eigpair does
+    # positive (_fix_phase)
     m = random_hermitian(da * db, np.random.default_rng(seed))
     res = _seesaw_product_max(m, da, db, restarts, 40, seed=seed % 1000)
     for vec in (res.a_vec, res.b_vec):
@@ -520,6 +564,17 @@ def test_hqext_singlet_at_the_cap_stays_small():
     with pytest.raises(ResourceCapError, match="q-extension level side 4140"):
         hqext(SINGLET, CUT, 89)
     assert _irrep_blocks.cache_info().currsize == 0
+    # a cold q = 88 builds levels 1..88; the cache keeps the most recent
+    # while they hold at most IRREP_CACHE_BYTES (levels 73-88 held 136 MB)
+    hqext(SINGLET, CUT, 88)
+    info = _irrep_blocks.cache_info()
+    assert 0 < info.bytes <= IRREP_CACHE_BYTES and info.currsize < 16, info
+    # the benchmark's sweeps fit together and evict nothing
+    _irrep_blocks.cache_clear()
+    for db, q_max in ((2, 6), (3, 5)):
+        for q in range(1, q_max + 1):
+            _irrep_blocks(db, q)
+    assert _irrep_blocks.cache_info().currsize == 13
 
 
 def test_hqext_reaches_every_q_under_the_side_cap():
@@ -636,7 +691,7 @@ def test_line_max_matches_golden_section_on_fidelity_segments(dim, ranks, peak, 
     root = _sqrtm_psd(rho)
     _, ref = golden_max(lambda t: fidelity_from_root(root, (1.0 - t) * sigma + t * atom))
     x0, x1 = (root @ x @ root for x in (sigma, atom))
-    t, value = _line_max(_root_fidelities, (x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
+    t, value = _line_max((x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
     assert 0.0 <= t <= 1.0
     assert abs(value - ref) <= 1e-12
     assert abs(value - fidelity(rho, (1.0 - t) * sigma + t * atom)) <= 1e-12
@@ -663,27 +718,65 @@ def test_line_max_matches_golden_section_on_classical_segments(k, peak, zeros, s
         q1 = p
     p, q0, q1 = (v / max(v.sum(), 1e-300) for v in (p, q0, q1))
     _, ref = golden_max(lambda t: float(np.sqrt(p * ((1.0 - t) * q0 + t * q1)).sum()))
-    t, value = _line_max(functools.partial(classical_fidelity, p), q0, q1)
+    t, value = _line_max(p * q0, p * q1)
     assert abs(value - ref) <= 1e-12
     assert abs(value - float(np.sqrt(p * ((1.0 - t) * q0 + t * q1)).sum())) <= 1e-12
 
 
-def test_line_max_call_count():
-    calls = []
+@given(
+    dim=st.integers(2, 6),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_line_max_on_a_pure_atom(dim, rank, seed):
+    # sqrt(rho) |ab><ab| sqrt(rho) has rank 1, so F'(1) = -inf, while the
+    # clipped spectrum at t = 1 reads a finite slope: the top is never at 1
+    rng = np.random.default_rng(seed)
+    rho, sigma = (full_rank_state(rng, dim, min(rank, dim)) for _ in range(2))
+    ket = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    atom = np.outer(ket, ket.conj()) / np.vdot(ket, ket).real
+    root = _sqrtm_psd(rho)
+    _, ref = golden_max(lambda t: fidelity_from_root(root, (1.0 - t) * sigma + t * atom))
+    x0, x1 = (root @ x @ root for x in (sigma, atom))
+    t, value = _line_max((x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
+    assert 0.0 <= t < 1.0
+    assert abs(value - fidelity(rho, (1.0 - t) * sigma + t * atom)) <= 1e-12
+    assert value >= ref - 1e-12
 
-    def f(points):
-        calls.append(len(points))
-        return -((points - 0.3) ** 2)
 
-    t, value = _line_max(f, 0.0, 1.0)
-    assert abs(t - 0.3) <= 1e-10 and abs(value) <= 1e-20
-    # both ends in one call, then at most 11 stacked rounds of 16 points
-    assert len(calls) <= 12 and max(calls) <= 16
+def test_line_max_eigensolver_calls(monkeypatch):
+    # one stacked eigvalsh for both ends, then one eigh per Newton step; a
+    # segment that peaks at an end stops after the first step and two probes
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(30)
+    steps = []
+    for i in range(60):
+        rho, sigma, atom = (full_rank_state(rng, 4, 2) for _ in range(3))
+        sigma = rho if i % 3 == 1 else sigma
+        atom = rho if i % 3 == 2 else atom
+        root = _sqrtm_psd(rho)
+        x0, x1 = (root @ x @ root for x in (sigma, atom))
+        calls.update(eigh=0, eigvalsh=0)
+        _line_max((x0 + x0.conj().T) / 2.0, (x1 + x1.conj().T) / 2.0)
+        assert calls["eigvalsh"] == 1
+        assert calls["eigh"] <= (12 if i % 3 == 0 else 4), (i, calls)
+        steps.append(calls["eigh"])
+    # the 16-point grid made 12 stacked eigvalsh calls, with 16 points each
+    assert np.mean(steps) <= 6.0
 
 
 def test_max_fidelity_eigensolver_call_count(monkeypatch):
-    # a count, not a timing: the line searches make 12 stacked eigvalsh
-    # calls each, and the seesaw two stacked eigh calls per iteration
+    # a count, not a timing: one eigh for each gradient, and per line search
+    # one stacked eigvalsh and one eigh per Newton step; the 2x2 seesaw
+    # runs none.  262 calls with the 16-point grid line search; 137 here.
     calls = []
     for name in ("eigh", "eigvalsh"):
         solver = getattr(np.linalg, name)
@@ -696,9 +789,7 @@ def test_max_fidelity_eigensolver_call_count(monkeypatch):
     rho = induced_mixed_state((2, 2), 16)
     res = max_fidelity_to_sep(rho, CUT, iters=20, restarts=4, seed=1)
     assert res.iterations == 20
-    # 3,668 calls with golden-section line searches; the seesaw's share
-    # moves with rounding, so the bound sits midway down to the 2,868 here
-    assert len(calls) <= 3300
+    assert len(calls) <= 200
 
 
 def test_hs_distance_separable_input():
